@@ -11,11 +11,9 @@ from .base_covers import (
     base_cover_lookup,
 )
 from .construct import (
-    SliceEmbedding,
     cover_hamming2,
     cover_hamming3,
     cover_multipartite,
-    embed_cover,
 )
 from .cover import (
     Cover,
@@ -27,7 +25,6 @@ from .cover import (
     covered_set,
     format_cover,
     format_cover_labeled,
-    is_isometric_path,
     parse_cover,
     parse_cover_labeled,
     verify_cover,

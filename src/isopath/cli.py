@@ -1,8 +1,9 @@
 """Command-line front end: generate, compute, construct, verify, solve.
 
 Exit codes: 0 success, 1 invalid input, 2 invalid certificate or unproven
-optimum or failed selftest, 3 internal assertion failure.  All output is
-ASCII with LF line endings and a stable key=value grammar.
+optimum or failed selftest, 3 internal error (a failed assertion or any
+unexpected exception, reported on one stderr line).  All output is ASCII
+with LF line endings and a stable key=value grammar.
 """
 
 import argparse
@@ -349,6 +350,9 @@ def main(argv=None):
         return EXIT_INVALID_INPUT
     except ConstructionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # any other escape is a bug: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

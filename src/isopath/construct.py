@@ -10,8 +10,6 @@ Tie-breaking everywhere is "lowest available index" so identical inputs
 produce byte-identical covers.
 """
 
-from dataclasses import dataclass
-
 from .base_covers import (
     FAMILY_HAMMING2,
     FAMILY_HAMMING3,
@@ -19,43 +17,9 @@ from .base_covers import (
     base_cover_lookup,
 )
 from .cover import PROVENANCE_FORMULA, Cover, Path
-from .errors import ConstructionError, InvalidSpecError, OutOfRangeError
+from .errors import ConstructionError, InvalidSpecError
 from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
 from .graph import HammingSpec, PartiteSpec, decode_coordinates, encode_coordinates
-
-
-@dataclass(frozen=True)
-class SliceEmbedding:
-    """Offset-based injective coordinate maps from a small Hamming spec into
-    a larger one; the image is a coordinate box, hence distance-invariant."""
-
-    source: HammingSpec
-    target: HammingSpec
-    offsets: tuple
-
-    def __post_init__(self):
-        offsets = tuple(int(o) for o in self.offsets)
-        object.__setattr__(self, "offsets", offsets)
-        if self.source.r != self.target.r or len(offsets) != self.source.r:
-            raise InvalidSpecError("embedding needs one offset per coordinate")
-        for off, src, tgt in zip(offsets, self.source.factors, self.target.factors):
-            if off < 0 or off + src > tgt:
-                raise OutOfRangeError(
-                    f"offset {off} pushes factor {src} outside target {tgt}"
-                )
-
-
-def embed_cover(c: Cover, e: SliceEmbedding) -> Cover:
-    """Map each path coordinate-wise through the embedding; structure unchanged."""
-    paths = []
-    for p in c.paths:
-        verts = []
-        for v in p.vertices:
-            coords = decode_coordinates(e.source, v)
-            shifted = tuple(x + off for x, off in zip(coords, e.offsets))
-            verts.append(encode_coordinates(e.target, shifted))
-        paths.append(Path(tuple(verts)))
-    return Cover(tuple(paths), provenance=c.provenance, note=c.note)
 
 
 # --- multipartite construction -------------------------------------------

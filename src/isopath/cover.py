@@ -6,7 +6,6 @@ from .errors import FormatError, OutOfRangeError
 from .graph import (
     Graph,
     HammingSpec,
-    LazyDistances,
     decode_coordinates,
     encode_coordinates,
     format_coordinates,
@@ -121,21 +120,28 @@ class VerifyReport:
     normal_form: bool | None = None
 
 
-def is_isometric_path(g: Graph, d, p: Path) -> bool:
-    """True iff p is simple, consecutive vertices are adjacent, and the edge
-    length equals the endpoint distance.  A 1-vertex path is isometric by
-    convention.  ``d`` is any object with DistanceMatrix-style indexing.
+def _is_shortest(g: Graph, verts) -> bool:
+    """True iff the simple walk ``verts`` is a shortest path of g.
+
+    A walk with k edges is one iff dist(start, end) >= k.  Its end is not
+    its start, so that holds iff no vertex within distance k-2 of the start
+    is adjacent to the end: only that ball is grown, never a full BFS row.
     """
-    verts = p.vertices
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise OutOfRangeError(f"path vertex {v} out of range [0,{g.n})")
-    if len(set(verts)) != len(verts):
-        return False
-    for a, b in zip(verts, verts[1:]):
-        if not g.has_edge(a, b):
-            return False
-    return len(verts) - 1 == d[verts[0]][verts[-1]]
+    k = len(verts) - 1
+    if k <= 1:
+        return True
+    frontier = [verts[0]]
+    ball = set(frontier)
+    for _ in range(k - 2):
+        grown = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in ball:
+                    ball.add(w)
+                    grown.append(w)
+        frontier = grown
+    end = verts[-1]
+    return not any(g.has_edge(u, end) for u in ball)
 
 
 def _normal_form_ok(c: Cover) -> bool:
@@ -156,7 +162,6 @@ def _normal_form_ok(c: Cover) -> bool:
 def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> VerifyReport:
     """Check every path and the coverage of V(g); problems are reported,
     never raised.  Deterministic and side-effect free."""
-    dist = LazyDistances(g)
     verdicts = []
     covered = set()
     incidences = 0
@@ -165,9 +170,7 @@ def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> Verify
         in_range = all(0 <= v < g.n for v in verts)
         simple = len(set(verts)) == len(verts)
         walk = in_range and all(g.has_edge(a, b) for a, b in zip(verts, verts[1:]))
-        isometric = (
-            simple and walk and len(verts) - 1 == dist[verts[0]][verts[-1]]
-        )
+        isometric = simple and walk and _is_shortest(g, verts)
         verdicts.append(PathVerdict(simple=simple, walk=walk, isometric=isometric))
         for v in verts:
             if 0 <= v < g.n:
@@ -199,10 +202,9 @@ def format_cover(c: Cover, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cover(text: str, provenance: str = PROVENANCE_FILE, note: str = "") -> Cover:
-    """Parse the cover text format; ``#`` lines are collected into the note."""
-    paths = []
-    comments = []
+def _path_lines(text, comments):
+    """Yield (line number, stripped line) for each path line of a cover file;
+    blank lines are skipped and ``#`` comments are appended to ``comments``."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -210,12 +212,18 @@ def parse_cover(text: str, provenance: str = PROVENANCE_FILE, note: str = "") ->
         if line.startswith("#"):
             comments.append(line[1:].strip())
             continue
+        yield lineno, line
+
+
+def parse_cover(text: str, provenance: str = PROVENANCE_FILE, note: str = "") -> Cover:
+    """Parse the cover text format; ``#`` lines are collected into the note."""
+    paths = []
+    comments = []
+    for lineno, line in _path_lines(text, comments):
         try:
             vertices = tuple(int(tok) for tok in line.split())
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad vertex index") from exc
-        if not vertices:
-            raise FormatError(f"line {lineno}: empty path")
         paths.append(Path(vertices))
     return Cover(tuple(paths), provenance=provenance, note=note or "; ".join(comments))
 
@@ -235,13 +243,7 @@ def parse_cover_labeled(
     """Parse the labeled format back to vertex indices via encode_coordinates."""
     paths = []
     comments = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-            continue
+    for lineno, line in _path_lines(text, comments):
         vertices = []
         for token in line.split():
             if not (token.startswith("(") and token.endswith(")")):
@@ -254,7 +256,5 @@ def parse_cover_labeled(
                 vertices.append(encode_coordinates(spec, coords))
             except OutOfRangeError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
-        if not vertices:
-            raise FormatError(f"line {lineno}: empty path")
         paths.append(Path(tuple(vertices)))
     return Cover(tuple(paths), provenance=provenance, note=note or "; ".join(comments))

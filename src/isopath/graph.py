@@ -184,27 +184,6 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix([_bfs_row(adj, g.n, s) for s in range(g.n)])
 
 
-class LazyDistances:
-    """Row-on-demand view with the same indexing as DistanceMatrix.
-
-    verify_cover only touches a handful of source rows, so computing them
-    lazily avoids the full n-source sweep on large hosts.
-    """
-
-    __slots__ = ("_g", "_rows")
-
-    def __init__(self, g: Graph):
-        self._g = g
-        self._rows = {}
-
-    def __getitem__(self, u):
-        row = self._rows.get(u)
-        if row is None:
-            row = _bfs_row(self._g._adj, self._g.n, u)
-            self._rows[u] = row
-        return row
-
-
 def make_complete_multipartite(spec: PartiteSpec) -> Graph:
     """Complete multipartite graph; part i occupies a contiguous index block."""
     if spec.r == 1 and spec.n > 1:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from isopath import cli
 from isopath.cli import main
 
 
@@ -133,6 +134,16 @@ class TestConstructVerify:
         code, _, _ = run(capsys, "verify", "-g", str(g), "-c", str(c), "--dot", str(dot))
         assert code == 0
         assert "color=" in dot.read_text()
+
+    def test_escaped_exception_exits_3_on_one_line(self, capsys, monkeypatch):
+        def overflow(*factors):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cover_hamming2", overflow)
+        code, out, err = run(capsys, "construct", "--hamming", "2,3")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(

@@ -1,4 +1,4 @@
-"""Cover constructors, the base-cover table, and slice embedding."""
+"""Cover constructors and the base-cover table."""
 
 from itertools import permutations
 
@@ -7,17 +7,13 @@ import pytest
 from isopath import (
     HammingSpec,
     InvalidSpecError,
-    OutOfRangeError,
     PartiteSpec,
-    SliceEmbedding,
     UnknownCoverKeyError,
     base_cover_lookup,
     cover_hamming2,
     cover_hamming3,
     cover_multipartite,
     covered_set,
-    decode_coordinates,
-    embed_cover,
     format_cover,
     ip_hamming2,
     ip_hamming3,
@@ -83,40 +79,6 @@ class TestBaseCoverTable:
         b = base_cover_lookup("hamming2", (2, 2))
         assert a is not b
         assert a.paths == b.paths
-
-
-class TestEmbedCover:
-    def test_offset_relabeling(self):
-        c22 = base_cover_lookup("hamming2", (2, 2))
-        emb = SliceEmbedding(HammingSpec((2, 2)), HammingSpec((4, 2)), (2, 0))
-        target = HammingSpec((4, 2))
-        moved = embed_cover(c22, emb)
-        coords = [
-            tuple(decode_coordinates(target, v) for v in p.vertices)
-            for p in moved.paths
-        ]
-        assert coords == [((2, 0), (2, 1)), ((3, 0), (3, 1))]
-
-    def test_identity_embedding(self):
-        c = base_cover_lookup("hamming3", (2, 2, 2))
-        emb = SliceEmbedding(HammingSpec((2, 2, 2)), HammingSpec((2, 2, 2)), (0, 0, 0))
-        assert [p.vertices for p in embed_cover(c, emb).paths] == [
-            p.vertices for p in c.paths
-        ]
-
-    def test_layer_embedding_into_2_2_5(self):
-        c = base_cover_lookup("hamming3", (2, 2, 2))
-        target = HammingSpec((2, 2, 5))
-        emb = SliceEmbedding(HammingSpec((2, 2, 2)), target, (0, 0, 3))
-        moved = embed_cover(c, emb)
-        layers = {
-            decode_coordinates(target, v)[2] for p in moved.paths for v in p.vertices
-        }
-        assert layers == {3, 4}
-
-    def test_out_of_range_offsets_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            SliceEmbedding(HammingSpec((2, 2)), HammingSpec((3, 2)), (2, 0))
 
 
 class TestCoverMultipartite:

@@ -2,24 +2,23 @@
 
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isopath import (
     Cover,
     FormatError,
     Graph,
     HammingSpec,
-    OutOfRangeError,
     PartiteSpec,
     Path,
-    all_pairs_distances,
     canonical_path,
     cover_size,
     covered_set,
     encode_coordinates,
     format_cover,
     format_cover_labeled,
-    is_isometric_path,
     make_complete_multipartite,
     make_hamming,
     parse_cover,
@@ -72,41 +71,6 @@ class TestPathBasics:
         assert canonical_path(Path((2,))).vertices == (2,)
 
 
-class TestIsIsometricPath:
-    def test_diagonal_geodesic_in_3x3(self):
-        g = make_hamming(SPEC_33)
-        d = all_pairs_distances(g)
-        assert is_isometric_path(g, d, coord_path(SPEC_33, (0, 0), (2, 0), (2, 2)))
-
-    def test_cube_detour_is_not_isometric(self):
-        g = make_hamming(SPEC_222)
-        d = all_pairs_distances(g)
-        p = coord_path(SPEC_222, (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))
-        assert not is_isometric_path(g, d, p)
-
-    def test_same_part_3_path(self):
-        g = make_complete_multipartite(PartiteSpec((2, 2)))
-        d = all_pairs_distances(g)
-        assert is_isometric_path(g, d, Path((0, 2, 1)))
-
-    def test_singleton_is_isometric_by_convention(self):
-        g = Graph(1)
-        d = all_pairs_distances(g)
-        assert is_isometric_path(g, d, Path((0,)))
-
-    def test_non_simple_and_non_walk(self):
-        g = make_complete_multipartite(PartiteSpec((2, 2)))
-        d = all_pairs_distances(g)
-        assert not is_isometric_path(g, d, Path((0, 2, 0)))
-        assert not is_isometric_path(g, d, Path((0, 1)))
-
-    def test_out_of_range_raises(self):
-        g = Graph(2, [(0, 1)])
-        d = all_pairs_distances(g)
-        with pytest.raises(OutOfRangeError):
-            is_isometric_path(g, d, Path((0, 5)))
-
-
 class TestVerifyCover:
     def test_cube_two_path_cover_is_valid(self):
         g = make_hamming(SPEC_222)
@@ -123,11 +87,52 @@ class TestVerifyCover:
         assert len(report.uncovered) == 4
 
     def test_non_isometric_path_rejected(self):
-        g = make_complete_multipartite(PartiteSpec((1, 1, 1)))
-        report = verify_cover(g, Cover((Path((0, 1, 2)),)))
-        assert not report.valid
-        assert report.path_verdicts[0].walk
-        assert not report.path_verdicts[0].isometric
+        k3 = make_complete_multipartite(PartiteSpec((1, 1, 1)))
+        k22 = make_complete_multipartite(PartiteSpec((2, 2)))
+        cube_detour = coord_path(SPEC_222, (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))
+        cases = [
+            # (graph, path, (simple, walk, isometric))
+            (k3, Path((0, 1, 2)), (True, True, False)),
+            (make_hamming(SPEC_222), cube_detour, (True, True, False)),
+            (k22, Path((0, 2, 0)), (False, True, False)),
+            (k22, Path((0, 1)), (True, False, False)),
+        ]
+        for g, path, expected in cases:
+            report = verify_cover(g, Cover((path,)))
+            verdict = report.path_verdicts[0]
+            assert not report.valid
+            assert (verdict.simple, verdict.walk, verdict.isometric) == expected, path
+
+    def test_geodesics_accepted(self):
+        diagonal = coord_path(SPEC_33, (0, 0), (2, 0), (2, 2))
+        same_part = Path((0, 2, 1))
+        cases = [
+            (make_hamming(SPEC_33), diagonal),
+            (make_complete_multipartite(PartiteSpec((2, 2))), same_part),
+            (Graph(1), Path((0,))),  # a single vertex is isometric by convention
+        ]
+        for g, path in cases:
+            assert verify_cover(g, Cover((path,))).path_verdicts[0].ok, path
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_isometric_verdict_matches_networkx(self, data):
+        # A random simple walk of up to 8 edges whose edges are forced into
+        # a random graph; the extra edges may or may not shortcut it.
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        order = data.draw(st.permutations(range(n)))
+        walk = order[: data.draw(st.integers(min_value=1, max_value=min(n, 9)))]
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        extra = data.draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        edges = {tuple(sorted(e)) for e in zip(walk, walk[1:])}
+        edges.update(tuple(sorted(e)) for e in extra if e[0] != e[1])
+        g = Graph(n, sorted(edges))
+        reference = nx.Graph(sorted(edges))
+        reference.add_nodes_from(range(n))
+        verdict = verify_cover(g, Cover((Path(walk),))).path_verdicts[0]
+        assert verdict.simple and verdict.walk
+        k = len(walk) - 1
+        assert verdict.isometric == (nx.shortest_path_length(reference, walk[0], walk[-1]) == k)
 
     def test_out_of_range_reported_not_raised(self):
         g = Graph(2, [(0, 1)])
