@@ -1,6 +1,7 @@
 """Cover constructors and the base-cover table."""
 
-from itertools import permutations
+import hashlib
+from itertools import permutations, product
 
 import pytest
 
@@ -202,3 +203,29 @@ class TestCoverHamming3:
     def test_rejects_small_factor(self):
         with pytest.raises(InvalidSpecError):
             cover_hamming3(2, 2, 1)
+
+
+# SHA-256 of the Hamming sweep below; any change to a constructed cover, its
+# path order or its note changes it.
+HAMMING_SWEEP_SHA256 = (
+    "46a018e9273f91d5a1e47c080cfd4d6dc48691b71ab147953441bdce08fcf674"
+)
+
+
+def test_hamming_sweep_is_byte_stable():
+    """Every 2-factor spec with sides 2..40 and every 3-factor spec with
+    sides 2..12: the spec line, then the cover text with its note as a
+    comment, or the exception type for a spec that raises."""
+    specs = [(a, b) for a, b in product(range(2, 41), repeat=2)]
+    specs += [(a, b, c) for a, b, c in product(range(2, 13), repeat=3)]
+    digest = hashlib.sha256()
+    for factors in specs:
+        digest.update((",".join(map(str, factors)) + "\n").encode("ascii"))
+        build = cover_hamming2 if len(factors) == 2 else cover_hamming3
+        try:
+            cover = build(*factors)
+        except Exception as exc:
+            digest.update(f"raises {type(exc).__name__}\n".encode("ascii"))
+            continue
+        digest.update(format_cover(cover, comments=(cover.note,)).encode("ascii"))
+    assert digest.hexdigest() == HAMMING_SWEEP_SHA256
