@@ -36,6 +36,7 @@ from .graph import (
     make_complete_multipartite,
     make_hamming,
     parse_graph,
+    sorted_partitions,
 )
 from .solver import enumerate_isometric_paths, solve_min_cover
 
@@ -234,17 +235,7 @@ def _cmd_paths(args):
 
 
 def _selftest_instances(max_n):
-    def partitions(total, largest, prefix, out):
-        if total == 0:
-            if len(prefix) >= 2:
-                out.append(tuple(prefix))
-            return
-        for part in range(min(total, largest), 0, -1):
-            partitions(total - part, part, prefix + [part], out)
-
-    multi = []
-    for n in range(2, max_n + 1):
-        partitions(n, n, [], multi)
+    multi = sorted_partitions(max_n)
     hamming = []
     for a in range(2, 10):
         for b in range(a, 10):

@@ -1,25 +1,29 @@
 """Explicit optimal cover construction for both graph families.
 
-Multipartite covers follow a recursive reduction: repeatedly peel off one
-isometric 3-path chosen by the active case, then finish from a base cover.
-Hamming covers recursively split a coordinate range and embed covers of
-the slices, which are distance-invariant induced subgraphs, bottoming out
-in the built-in base-cover table.
+Multipartite covers come from a peel loop: it takes off one isometric
+3-path at a time, chosen by the active case, then finishes from a base
+cover.  Hamming covers come from a box-tiling loop: a box (a product of
+coordinate ranges, a distance-invariant induced subgraph) is either a key
+of the built-in base-cover table or is cut into smaller boxes by the
+family's split rule.
 
 Tie-breaking everywhere is "lowest available index" so identical inputs
 produce byte-identical covers.
 """
+
+from operator import mul
 
 from .base_covers import (
     FAMILY_HAMMING2,
     FAMILY_HAMMING3,
     FAMILY_MULTIPARTITE,
     base_cover_lookup,
+    base_cover_table,
 )
 from .cover import PROVENANCE_FORMULA, Cover, Path
 from .errors import ConstructionError, InvalidSpecError
 from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
-from .graph import HammingSpec, PartiteSpec, decode_coordinates, encode_coordinates
+from .graph import HammingSpec, PartiteSpec, decode_coordinates
 
 
 # --- multipartite construction -------------------------------------------
@@ -149,8 +153,8 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
 
 # --- Hamming constructions -------------------------------------------------
 #
-# Internally paths are tuples of coordinate tuples; vertex indices are only
-# produced at the very end, on the caller's factor order.
+# A split rule takes the sorted factors of a box that is not in the base
+# table and returns its sub-boxes as (factors, offsets) in that sorted frame.
 
 
 def _base_coord_paths(family, key):
@@ -161,130 +165,98 @@ def _base_coord_paths(family, key):
     ]
 
 
-def _shift(paths, offsets):
-    return [
-        tuple(tuple(c + o for c, o in zip(v, offsets)) for v in p) for p in paths
-    ]
+def _tile(factors, rule):
+    """Paths of a cover of the Hamming graph on ``factors``, as vertex
+    indices of that graph, tiled from base-table boxes in depth-first order."""
+    r = len(factors)
+    family = FAMILY_HAMMING2 if r == 2 else FAMILY_HAMMING3
+    table = base_cover_table()
+    strides = [1] * r
+    for j in range(r - 1, 0, -1):
+        strides[j - 1] = strides[j] * factors[j]
+    bases = {}
+    paths = []
+    # a box: its factors in its parent's frame, the index stride of the
+    # caller's axis under each of them, and the index of its corner
+    stack = [(tuple(factors), tuple(strides), 0)]
+    while stack:
+        sizes, steps, start = stack.pop()
+        order = sorted(range(r), key=sizes.__getitem__)
+        key = tuple(sizes[i] for i in order)
+        steps = tuple(steps[i] for i in order)
+        if (family, key) in table:
+            if key not in bases:
+                bases[key] = _base_coord_paths(family, key)
+            paths.extend(
+                Path(tuple(start + sum(map(mul, v, steps)) for v in p))
+                for p in bases[key]
+            )
+            continue
+        # reversed, so the first sub-box is popped, and emitted, first
+        for sub, shift in reversed(rule(key)):
+            stack.append((sub, steps, start + sum(map(mul, shift, steps))))
+    return tuple(paths)
 
 
-def _apply_axes(paths, positions):
-    # new coordinate i reads old coordinate positions[i]
-    return [tuple(tuple(v[k] for k in positions) for v in p) for p in paths]
+def _hamming_cover(factors, expected, rule):
+    paths = _tile(factors, rule)
+    if len(paths) != expected:
+        raise ConstructionError(
+            f"built {len(paths)} paths for {' x '.join(f'K_{n}' for n in factors)}, "
+            f"formula says {expected}"
+        )
+    return Cover(
+        paths,
+        provenance=PROVENANCE_FORMULA,
+        note=f"hamming {','.join(str(n) for n in factors)}",
+    )
 
 
-def _sorting_permutation(factors):
-    order = sorted(range(len(factors)), key=lambda i: (factors[i], i))
-    inverse = [0] * len(order)
-    for new_axis, old_axis in enumerate(order):
-        inverse[old_axis] = new_axis
-    return tuple(order), tuple(inverse)
-
-
-def _h2_paths(a, b):
-    if a > b:
-        return _apply_axes(_h2_paths(b, a), (1, 0))
-    if (a, b) in ((2, 2), (2, 3), (2, 4), (3, 3)):
-        return _base_coord_paths(FAMILY_HAMMING2, (a, b))
+def _h2_rule(key):
+    a, b = key
     if b == 4:
-        return _shift(_h2_paths(a, 2), (0, 0)) + _shift(_h2_paths(a, 2), (0, 2))
-    return _shift(_h2_paths(a, 3), (0, 0)) + _shift(_h2_paths(a, b - 3), (0, 3))
+        return [((a, 2), (0, 0)), ((a, 2), (0, 2))]
+    return [((a, 3), (0, 0)), ((a, b - 3), (0, 3))]
 
 
 def cover_hamming2(n1: int, n2: int) -> Cover:
     """Valid cover of K_{n1} x K_{n2} of size ceil(n1*n2/3): base tables for
     both factors <= 4, otherwise split one factor range into 3 + rest."""
-    expected = ip_hamming2(n1, n2).value
-    spec = HammingSpec((n1, n2))
-    paths = tuple(
-        Path(tuple(encode_coordinates(spec, v) for v in p)) for p in _h2_paths(n1, n2)
-    )
-    if len(paths) != expected:
-        raise ConstructionError(
-            f"built {len(paths)} paths for K_{n1} x K_{n2}, formula says {expected}"
-        )
-    return Cover(paths, provenance=PROVENANCE_FORMULA, note=f"hamming {n1},{n2}")
+    return _hamming_cover((n1, n2), ip_hamming2(n1, n2).value, _h2_rule)
 
-
-_H3_BASE_KEYS = (
-    (2, 3, 3),
-    (2, 3, 4),
-    (2, 3, 5),
-    (3, 3, 3),
-    (3, 3, 4),
-    (2, 3, 6),
-    (2, 5, 5),
-    (3, 5, 5),
-)
 
 # composite entries: split one factor of the key into two stacked slices
 _H3_COMPOSITES = {
-    (2, 5, 6): (((2, 3, 6), (0, 0, 0)), ((2, 2, 6), (0, 3, 0))),
-    (3, 3, 5): (((3, 3, 2), (0, 0, 0)), ((3, 3, 3), (0, 0, 2))),
-    (5, 5, 5): (((5, 5, 3), (0, 0, 0)), ((5, 5, 2), (0, 0, 3))),
+    (2, 5, 6): [((2, 3, 6), (0, 0, 0)), ((2, 2, 6), (0, 3, 0))],
+    (3, 3, 5): [((3, 3, 2), (0, 0, 0)), ((3, 3, 3), (0, 0, 2))],
+    (5, 5, 5): [((5, 5, 3), (0, 0, 0)), ((5, 5, 2), (0, 0, 3))],
 }
 
 
-def _h3_paths(factors):
-    order, inverse = _sorting_permutation(factors)
-    canonical = tuple(factors[i] for i in order)
-    paths = _h3_sorted(canonical)
-    if order == (0, 1, 2):
-        return paths
-    return _apply_axes(paths, inverse)
-
-
-def _h3_sorted(f):
-    a, b, c = f
+def _h3_rule(key):
+    a, b, c = key
     if a % 2 == 0 and b % 2 == 0 and c % 2 == 0:
-        block = _base_coord_paths(FAMILY_HAMMING3, (2, 2, 2))
-        out = []
-        for i in range(a // 2):
-            for j in range(b // 2):
-                for k in range(c // 2):
-                    out.extend(_shift(block, (2 * i, 2 * j, 2 * k)))
-        return out
+        return [
+            ((2, 2, 2), (i, j, k))
+            for i in range(0, a, 2)
+            for j in range(0, b, 2)
+            for k in range(0, c, 2)
+        ]
     if a == 2 and b == 2 and c % 2 == 1:
         # c+1 paths from (c+1)/2 blocks; the last two overlap on layer c-2
-        block = _base_coord_paths(FAMILY_HAMMING3, (2, 2, 2))
-        layers = [2 * k for k in range((c - 1) // 2)] + [c - 2]
-        out = []
-        for layer in layers:
-            out.extend(_shift(block, (0, 0, layer)))
-        return out
-    if f in _H3_BASE_KEYS:
-        return _base_coord_paths(FAMILY_HAMMING3, f)
-    if f in _H3_COMPOSITES:
-        out = []
-        for sub_factors, offsets in _H3_COMPOSITES[f]:
-            out.extend(_shift(_h3_paths(sub_factors), offsets))
-        return out
+        return [((2, 2, 2), (0, 0, k)) for k in [*range(0, c - 2, 2), c - 2]]
+    if key in _H3_COMPOSITES:
+        return _H3_COMPOSITES[key]
     if c >= 7 or (c == 6 and a >= 3):
-        head = _shift(_h3_paths((a, b, 4)), (0, 0, 0))
-        tail = _shift(_h3_paths((a, b, c - 4)), (0, 0, 4))
-        return head + tail
-    if 4 in f:
+        return [((a, b, 4), (0, 0, 0)), ((a, b, c - 4), (0, 0, 4))]
+    if 4 in key:
         # largest factor is >= 4 here; split it into 2 + rest
-        head = _shift(_h3_paths((a, b, 2)), (0, 0, 0))
-        tail = _shift(_h3_paths((a, b, c - 2)), (0, 0, 2))
-        return head + tail
-    raise ConstructionError(f"no construction rule for factors {f}")
+        return [((a, b, 2), (0, 0, 0)), ((a, b, c - 2), (0, 0, 2))]
+    raise ConstructionError(f"no construction rule for factors {key}")
 
 
 def cover_hamming3(n1: int, n2: int, n3: int) -> Cover:
     """Valid cover of K_{n1} x K_{n2} x K_{n3} matching ip_hamming3: 2x2x2
     tiling for all-even factors, overlapping blocks for the exceptional
     (2,2,odd) family, base/composite tables and range splits otherwise."""
-    expected = ip_hamming3(n1, n2, n3).value
-    spec = HammingSpec((n1, n2, n3))
-    paths = tuple(
-        Path(tuple(encode_coordinates(spec, v) for v in p))
-        for p in _h3_paths((n1, n2, n3))
-    )
-    if len(paths) != expected:
-        raise ConstructionError(
-            f"built {len(paths)} paths for K_{n1} x K_{n2} x K_{n3}, "
-            f"formula says {expected}"
-        )
-    return Cover(
-        paths, provenance=PROVENANCE_FORMULA, note=f"hamming {n1},{n2},{n3}"
-    )
+    return _hamming_cover((n1, n2, n3), ip_hamming3(n1, n2, n3).value, _h3_rule)

@@ -19,6 +19,16 @@ from .errors import (
 
 UNREACHABLE = -1
 
+# Largest edge count of a graph that is generated or parsed; the vertex
+# count is held to it too, since a parsed graph may have isolated vertices.
+# Checked from the spec or the problem line, before anything is allocated.
+MAX_EDGES = 10**6
+
+
+def _check_size(n, m, error=InvalidSpecError):
+    if max(n, m) > MAX_EDGES:
+        raise error(f"{n} vertices and {m} edges exceed the cap of {MAX_EDGES}")
+
 
 class Graph:
     """Simple undirected graph, immutable after construction.
@@ -118,6 +128,30 @@ class PartiteSpec:
         return tuple(offsets)
 
 
+def sorted_partitions(max_n):
+    """Every part-size vector with at least two parts and 2 <= n <= max_n,
+    non-increasing, by n and then in decreasing lexicographic order."""
+    out = []
+    for n in range(2, max_n + 1):
+        parts = [n]
+        while True:
+            if len(parts) >= 2:
+                out.append(tuple(parts))
+            # lower the last part above 1 by one and refill greedily
+            ones = 0
+            while parts and parts[-1] == 1:
+                parts.pop()
+                ones += 1
+            if not parts:
+                break
+            top = parts.pop() - 1
+            rest = top + 1 + ones
+            while rest:
+                parts.append(min(top, rest))
+                rest -= parts[-1]
+    return out
+
+
 @dataclass(frozen=True)
 class HammingSpec:
     """Validated factor sizes of a Hamming graph (product of 1 to 3 complete graphs)."""
@@ -190,8 +224,9 @@ def make_complete_multipartite(spec: PartiteSpec) -> Graph:
         raise InvalidSpecError(
             "a single part of size >= 2 yields a disconnected (edgeless) graph"
         )
-    offsets = spec.part_offsets()
     n = spec.n
+    _check_size(n, (n * n - sum(s * s for s in spec.sizes)) // 2)
+    offsets = spec.part_offsets()
     edges = []
     for i, si in enumerate(spec.sizes):
         for j in range(i + 1, spec.r):
@@ -236,6 +271,9 @@ def make_augmented_multipartite(spec: PartiteSpec, pairings) -> Graph:
     matching.  ``pairings[i]`` uses 0-based offsets local to part i.
     """
     pairings = _validate_pairings(spec, pairings)
+    # every pair of vertices but the designated ones is an edge
+    n = spec.n
+    _check_size(n, n * (n - 1) // 2 - sum(s // 2 for s in spec.sizes))
     base = make_complete_multipartite(spec)
     offsets = spec.part_offsets()
     edges = list(base.edges())
@@ -254,6 +292,7 @@ def make_hamming(spec: HammingSpec) -> Graph:
     coordinate tuples differ in exactly one position."""
     n = spec.n
     factors = spec.factors
+    _check_size(n, n * sum(f - 1 for f in factors) // 2)
     edges = []
     labels = []
     for index in range(n):
@@ -322,6 +361,7 @@ def parse_graph(text: str) -> Graph:
                 n, m = int(fields[1]), int(fields[2])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad problem line") from exc
+            _check_size(n, m, FormatError)
         elif fields[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")

@@ -2,24 +2,7 @@
 
 from itertools import product
 
-
-def sorted_partitions(max_n, min_n=2, max_parts=None):
-    """All non-increasing size vectors with 2 <= r and min_n <= n <= max_n."""
-    out = []
-
-    def rec(total, largest, prefix):
-        if total == 0:
-            if len(prefix) >= 2:
-                out.append(tuple(prefix))
-            return
-        if max_parts is not None and len(prefix) >= max_parts:
-            return
-        for part in range(min(total, largest), 0, -1):
-            rec(total - part, part, prefix + [part])
-
-    for n in range(min_n, max_n + 1):
-        rec(n, n, [])
-    return out
+from isopath.graph import sorted_partitions  # noqa: F401  (imported from here by the tests)
 
 
 def part_pairings(size):

@@ -67,6 +67,14 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--augmented", "4,2", "--pairs", "0-1;0-1")
         assert code == 1
 
+    def test_over_the_edge_cap_exits_1(self, capsys):
+        code, out, err = run(capsys, "gen", "--multipartite", "40000,10000")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: 50000 vertices and 400000000 edges exceed the cap of 1000000\n"
+        )
+
     def test_dot_export(self, capsys, tmp_path):
         dot = tmp_path / "g.dot"
         code, _, _ = run(
@@ -144,6 +152,23 @@ class TestConstructVerify:
         assert code == 3
         assert out == ""
         assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+    def test_construct_over_the_edge_cap_exits_1(self, capsys):
+        # 6200 vertices, 9,610,000 edges: rejected before the graph is built
+        code, out, err = run(capsys, "construct", "--hamming", "2,3100")
+        assert code == 1
+        assert out == ""
+        assert err == "error: 6200 vertices and 9610000 edges exceed the cap of 1000000\n"
+
+    def test_verify_over_the_edge_cap_exits_1(self, capsys, tmp_path):
+        g = tmp_path / "g.txt"
+        c = tmp_path / "c.cover"
+        g.write_text("p 2000000000 0\n", encoding="ascii")
+        c.write_text("0\n", encoding="ascii")
+        code, out, err = run(capsys, "verify", "-g", str(g), "-c", str(c))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(

@@ -24,6 +24,7 @@ from isopath import (
     verify_cover,
 )
 from isopath.base_covers import base_cover_table
+from isopath.graph import decode_coordinates
 
 from conftest import sorted_partitions
 
@@ -203,6 +204,30 @@ class TestCoverHamming3:
     def test_rejects_small_factor(self):
         with pytest.raises(InvalidSpecError):
             cover_hamming3(2, 2, 1)
+
+
+def _differing(x, y):
+    return sum(a != b for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize("factors", [(2, 3100), (2, 3, 4100), (3, 3, 2100)])
+def test_covers_past_the_recursion_limit(factors):
+    """More than 1,000 slabs each.  Checked from coordinates, without a
+    graph: in a Hamming graph two vertices are adjacent iff they differ in
+    one coordinate, and their distance is the number of coordinates in
+    which they differ, so a walk is isometric iff its ends differ in as
+    many coordinates as it has edges."""
+    spec = HammingSpec(factors)
+    if len(factors) == 2:
+        cover, expected = cover_hamming2(*factors), ip_hamming2(*factors).value
+    else:
+        cover, expected = cover_hamming3(*factors), ip_hamming3(*factors).value
+    assert len(cover.paths) == expected
+    assert covered_set(cover) == set(range(spec.n))
+    for p in cover.paths:
+        coords = [decode_coordinates(spec, v) for v in p.vertices]
+        assert all(_differing(x, y) == 1 for x, y in zip(coords, coords[1:]))
+        assert _differing(coords[0], coords[-1]) == len(coords) - 1
 
 
 # SHA-256 of the Hamming sweep below; any change to a constructed cover, its

@@ -1,5 +1,8 @@
 """Graph generators, distances, coordinate codecs, and the text format."""
 
+import tracemalloc
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,8 +23,9 @@ from isopath import (
     make_hamming,
     parse_graph,
 )
+from isopath.graph import MAX_EDGES, sorted_partitions
 
-from conftest import sorted_partitions, spec_pairings
+from conftest import spec_pairings
 
 
 def cross_part_pairs(sizes):
@@ -48,6 +52,26 @@ class TestPartiteSpec:
             PartiteSpec(())
         with pytest.raises(InvalidSpecError):
             PartiteSpec((3, 0))
+
+
+class TestSortedPartitions:
+    def test_small_listing(self):
+        assert sorted_partitions(4) == [
+            (1, 1), (2, 1), (1, 1, 1), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)
+        ]
+
+    def test_matches_brute_force(self):
+        max_n = 12
+        got = sorted_partitions(max_n)
+        want = {
+            tuple(sorted(parts, reverse=True))
+            for r in range(2, max_n + 1)
+            for parts in combinations_with_replacement(range(1, max_n), r)
+            if sum(parts) <= max_n
+        }
+        assert set(got) == want
+        assert len(got) == len(want)
+        assert got == sorted(got, key=lambda sizes: (sum(sizes), [-s for s in sizes]))
 
 
 class TestHammingSpec:
@@ -303,3 +327,33 @@ class TestGraphInvariants:
             Graph(2, [(0, 0)])
         with pytest.raises(OutOfRangeError):
             Graph(2, [(0, 2)])
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            # 2002 vertices, 1,002,001 edges
+            (lambda: make_hamming(HammingSpec((2, 1001))), InvalidSpecError),
+            # 2001 vertices, 1,001,000 edges
+            (lambda: make_complete_multipartite(PartiteSpec((1001, 1000))), InvalidSpecError),
+            # the 1,000,000 cross-part edges fit the cap, the 998,000 intra-part ones do not
+            (
+                lambda: make_augmented_multipartite(
+                    PartiteSpec((1000, 1000)), [[(2 * k, 2 * k + 1) for k in range(500)]] * 2
+                ),
+                InvalidSpecError,
+            ),
+            (lambda: parse_graph(f"p 3 {MAX_EDGES + 1}\n"), FormatError),
+            (lambda: parse_graph("p 2000000000 0\n"), FormatError),
+        ],
+    )
+    def test_over_the_cap_raises_before_allocating(self, build, error):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match="exceed the cap"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
