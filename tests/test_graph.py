@@ -1,7 +1,8 @@
 """Graph generators, distances, coordinate codecs, and the text format."""
 
+import hashlib
 import tracemalloc
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +27,26 @@ from isopath import (
 from isopath.graph import MAX_EDGES, sorted_partitions
 
 from conftest import spec_pairings
+
+
+# Hamming specs with 1 to 3 factors of sides 2..6, then every multipartite
+# spec with 2 <= n <= 8 and at least two parts.
+FAMILY_SWEEP = [
+    HammingSpec(factors) for r in (1, 2, 3) for factors in product(range(2, 7), repeat=r)
+] + [PartiteSpec(sizes) for sizes in sorted_partitions(8)]
+
+
+# SHA-256 of the sweep's ``format_graph`` text and labels; any change to an
+# edge, its order or a label changes it.
+FAMILY_SWEEP_SHA256 = (
+    "657e16417ef21244515b53fc8ecd527661126142ac003ab0348d950a8774dd1f"
+)
+
+
+def family_graph(spec):
+    if isinstance(spec, HammingSpec):
+        return make_hamming(spec)
+    return make_complete_multipartite(spec)
 
 
 def cross_part_pairs(sizes):
@@ -291,6 +312,16 @@ class TestGraphTextFormat:
     def test_format_shape(self):
         g = make_complete_multipartite(PartiteSpec((1, 1)))
         assert format_graph(g) == "p 2 1\ne 0 1\n"
+
+    def test_family_sweep_is_byte_stable(self):
+        """``format_graph`` and the labels of every graph of FAMILY_SWEEP."""
+        digest = hashlib.sha256()
+        for spec in FAMILY_SWEEP:
+            g = family_graph(spec)
+            digest.update(f"{spec!r}\n".encode("ascii"))
+            digest.update(format_graph(g).encode("ascii"))
+            digest.update((" ".join(g.labels) + "\n").encode("ascii"))
+        assert digest.hexdigest() == FAMILY_SWEEP_SHA256
 
     def test_comments_tolerated(self):
         g = parse_graph("c hello\np 2 1\nc mid\ne 0 1\n")
