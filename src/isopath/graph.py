@@ -7,8 +7,10 @@ block (largest part first), Hamming graphs use the mixed-radix rule
 significant.
 """
 
-from collections import deque
+from bisect import bisect_right
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     FormatError,
@@ -24,6 +26,8 @@ UNREACHABLE = -1
 # Checked from the spec or the problem line, before anything is allocated.
 MAX_EDGES = 10**6
 
+_NO_NEIGHBORS = frozenset()
+
 
 def _check_size(n, m, error=InvalidSpecError):
     if max(n, m) > MAX_EDGES:
@@ -36,33 +40,43 @@ class Graph:
     Adjacency lists are sorted, symmetric, loop-free and duplicate-free.
     ``labels`` is an optional per-vertex display string (coordinate tuples
     for Hamming graphs, ``part:offset`` for multipartite graphs).
+
+    This class stores its edges (parsed and augmented graphs); the graphs
+    of the two families answer adjacency from their spec instead.
     """
 
-    __slots__ = ("n", "_adj", "_nbr", "labels")
+    __slots__ = ("n", "m", "_adj", "_nbr", "_labels")
 
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
             raise InvalidSpecError("vertex count must be nonnegative")
-        nbr = [set() for _ in range(n)]
+        sets = defaultdict(set)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise OutOfRangeError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InvalidSpecError(f"self-loop at vertex {u}")
-            nbr[u].add(v)
-            nbr[v].add(u)
+            sets[u].add(v)
+            sets[v].add(u)
+        # isolated vertices share one empty tuple and one empty set
+        adj = [()] * n
+        nbr = [_NO_NEIGHBORS] * n
+        for v, s in sets.items():
+            adj[v] = tuple(sorted(s))
+            nbr[v] = s
         self.n = n
-        self._nbr = tuple(frozenset(s) for s in nbr)
-        self._adj = tuple(tuple(sorted(s)) for s in nbr)
+        self.m = sum(map(len, sets.values())) // 2
+        self._adj = adj
+        self._nbr = nbr
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise InvalidSpecError("labels length must equal vertex count")
-        self.labels = labels
+        self._labels = labels
 
     @property
-    def m(self):
-        return sum(len(a) for a in self._adj) // 2
+    def labels(self):
+        return self._labels
 
     def neighbors(self, v):
         return self._adj[v]
@@ -76,12 +90,108 @@ class Graph:
     def edges(self):
         """Yield edges (u, v) with u < v in lexicographic order."""
         for u in range(self.n):
-            for v in self._adj[u]:
+            for v in self.neighbors(u):
                 if u < v:
                     yield u, v
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class _HammingGraph(Graph):
+    """K_{n1} x ... x K_{nr}: two vertices are adjacent iff their mixed-radix
+    coordinates differ in exactly one place.  No edge is stored."""
+
+    __slots__ = ("_factors", "_axes", "_degree")
+
+    def __init__(self, spec):
+        self._factors = spec.factors
+        self.n = spec.n
+        self._degree = sum(f - 1 for f in spec.factors)
+        self.m = self.n * self._degree // 2
+        self._labels = None
+        # (stride, stride * size) of each axis, the most significant first:
+        # v % stride holds the digits below the axis, v // (stride * size)
+        # the digits above it
+        axes = []
+        stride = 1
+        for size in reversed(spec.factors):
+            axes.append((stride, stride * size))
+            stride *= size
+        self._axes = tuple(reversed(axes))
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            coords = product(*(range(f) for f in self._factors))
+            self._labels = tuple(format_coordinates(c) for c in coords)
+        return self._labels
+
+    def neighbors(self, v):
+        # A lower value on an axis moves v by less than one stride of the
+        # axis before it, so taking the lower values axis by axis and then
+        # the higher ones in reverse axis order is ascending.
+        lower = []
+        higher = []
+        for stride, span in self._axes:
+            start = v - v % span + v % stride  # v with this coordinate 0
+            lower.extend(range(start, v, stride))
+            higher.append(range(v + stride, start + span, stride))
+        for block in reversed(higher):
+            lower.extend(block)
+        return tuple(lower)
+
+    def degree(self, v):
+        return self._degree
+
+    def has_edge(self, u, v):
+        if u == v:
+            return False
+        # they differ in one place iff they agree below and above some axis
+        for stride, span in self._axes:
+            if u % stride == v % stride and u // span == v // span:
+                return True
+        return False
+
+
+class _MultipartiteGraph(Graph):
+    """Complete multipartite graph: two vertices are adjacent iff they lie in
+    different part blocks.  No edge is stored."""
+
+    __slots__ = ("_sizes", "_offsets")
+
+    def __init__(self, spec):
+        self._sizes = spec.sizes
+        self._offsets = spec.part_offsets()
+        n = self.n = spec.n
+        self.m = (n * n - sum(s * s for s in spec.sizes)) // 2
+        self._labels = None
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            self._labels = tuple(
+                f"{i}:{k}" for i, size in enumerate(self._sizes) for k in range(size)
+            )
+        return self._labels
+
+    def _block(self, v):
+        """(start, end) of the part block holding v."""
+        i = bisect_right(self._offsets, v) - 1
+        return self._offsets[i], self._offsets[i] + self._sizes[i]
+
+    def neighbors(self, v):
+        start, end = self._block(v)
+        return (*range(start), *range(end, self.n))
+
+    def degree(self, v):
+        start, end = self._block(v)
+        return self.n - (end - start)
+
+    def has_edge(self, u, v):
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        return bisect_right(self._offsets, u) != bisect_right(self._offsets, v)
 
 
 @dataclass(frozen=True)
@@ -214,7 +324,7 @@ def _bfs_row(adj, n, source):
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """Exact BFS distances from every source vertex."""
-    adj = g._adj
+    adj = [g.neighbors(v) for v in range(g.n)]
     return DistanceMatrix([_bfs_row(adj, g.n, s) for s in range(g.n)])
 
 
@@ -224,20 +334,9 @@ def make_complete_multipartite(spec: PartiteSpec) -> Graph:
         raise InvalidSpecError(
             "a single part of size >= 2 yields a disconnected (edgeless) graph"
         )
-    n = spec.n
-    _check_size(n, (n * n - sum(s * s for s in spec.sizes)) // 2)
-    offsets = spec.part_offsets()
-    edges = []
-    for i, si in enumerate(spec.sizes):
-        for j in range(i + 1, spec.r):
-            sj = spec.sizes[j]
-            for a in range(offsets[i], offsets[i] + si):
-                for b in range(offsets[j], offsets[j] + sj):
-                    edges.append((a, b))
-    labels = []
-    for i, si in enumerate(spec.sizes):
-        labels.extend(f"{i}:{k}" for k in range(si))
-    return Graph(n, edges, labels)
+    g = _MultipartiteGraph(spec)
+    _check_size(g.n, g.m)
+    return g
 
 
 def _validate_pairings(spec: PartiteSpec, pairings):
@@ -290,20 +389,9 @@ def make_augmented_multipartite(spec: PartiteSpec, pairings) -> Graph:
 def make_hamming(spec: HammingSpec) -> Graph:
     """Cartesian product of complete graphs; vertices adjacent iff their
     coordinate tuples differ in exactly one position."""
-    n = spec.n
-    factors = spec.factors
-    _check_size(n, n * sum(f - 1 for f in factors) // 2)
-    edges = []
-    labels = []
-    for index in range(n):
-        coords = decode_coordinates(spec, index)
-        labels.append(format_coordinates(coords))
-        for axis, size in enumerate(factors):
-            for value in range(coords[axis] + 1, size):
-                other = list(coords)
-                other[axis] = value
-                edges.append((index, encode_coordinates(spec, other)))
-    return Graph(n, edges, labels)
+    g = _HammingGraph(spec)
+    _check_size(g.n, g.m)
+    return g
 
 
 def encode_coordinates(spec: HammingSpec, coords) -> int:

@@ -160,6 +160,14 @@ class TestConstructVerify:
         assert out == ""
         assert err == "error: 6200 vertices and 9610000 edges exceed the cap of 1000000\n"
 
+    def test_construct_just_under_the_edge_cap_exits_0(self, capsys, tmp_path):
+        # 10,000 vertices, 990,000 edges: the cover is verified against
+        # adjacency worked out from the spec, not a list of edges
+        out_file = tmp_path / "h.cover"
+        code, out, _ = run(capsys, "construct", "--hamming", "100,100", "-o", str(out_file))
+        assert code == 0
+        assert out == "size=3334\n"
+
     def test_verify_over_the_edge_cap_exits_1(self, capsys, tmp_path):
         g = tmp_path / "g.txt"
         c = tmp_path / "c.cover"

@@ -43,6 +43,12 @@ FAMILY_SWEEP_SHA256 = (
 )
 
 
+def spec_id(spec):
+    if isinstance(spec, HammingSpec):
+        return "hamming-" + ",".join(map(str, spec.factors))
+    return "multipartite-" + ",".join(map(str, spec.sizes))
+
+
 def family_graph(spec):
     if isinstance(spec, HammingSpec):
         return make_hamming(spec)
@@ -343,6 +349,68 @@ class TestGraphTextFormat:
             parse_graph(text)
 
 
+def explicit_family_graph(spec):
+    """The family graph with every edge listed, by brute force from the
+    coordinates (first one most significant) or the part blocks."""
+    if isinstance(spec, HammingSpec):
+        coords = list(product(*(range(f) for f in spec.factors)))
+        labels = ["(" + ",".join(map(str, c)) + ")" for c in coords]
+
+        def adjacent(u, v):
+            return sum(a != b for a, b in zip(coords[u], coords[v])) == 1
+    else:
+        part = [i for i, size in enumerate(spec.sizes) for _ in range(size)]
+        labels = [f"{i}:{k}" for i, size in enumerate(spec.sizes) for k in range(size)]
+
+        def adjacent(u, v):
+            return part[u] != part[v]
+    n = len(labels)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adjacent(u, v)]
+    return Graph(n, edges, labels)
+
+
+class TestFamilyGraphs:
+    @pytest.mark.parametrize("spec", FAMILY_SWEEP, ids=spec_id)
+    def test_matches_the_explicit_graph(self, spec):
+        g = family_graph(spec)
+        want = explicit_family_graph(spec)
+        assert (g.n, g.m) == (want.n, want.m)
+        assert g.labels == want.labels
+        assert list(g.edges()) == list(want.edges())
+        for u in range(g.n):
+            assert g.neighbors(u) == want.neighbors(u)
+            assert type(g.neighbors(u)) is tuple
+            assert g.degree(u) == want.degree(u)
+            # one index past each end too: never an edge
+            assert [g.has_edge(u, v) for v in range(-1, g.n + 1)] == [
+                want.has_edge(u, v) for v in range(-1, g.n + 1)
+            ]
+
+    @pytest.mark.parametrize(
+        "build,edges",
+        [
+            (lambda: make_hamming(HammingSpec((100, 100))), 990_000),
+            (lambda: make_complete_multipartite(PartiteSpec((700, 700))), 490_000),
+        ],
+        ids=["hamming-100,100", "multipartite-700,700"],
+    )
+    def test_no_edge_is_stored(self, build, edges):
+        tracemalloc.start()
+        try:
+            g = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == edges
+        assert peak < 1_000_000
+
+    def test_labels_are_built_when_read(self):
+        g = make_hamming(HammingSpec((100, 100)))
+        assert g._labels is None
+        assert g.labels[-1] == "(99,99)"
+        assert g.labels is g.labels
+
+
 class TestGraphInvariants:
     def test_adjacency_symmetric_sorted_loop_free(self):
         g = make_complete_multipartite(PartiteSpec((3, 2, 2)))
@@ -352,6 +420,18 @@ class TestGraphInvariants:
             assert u not in nbrs
             for v in nbrs:
                 assert u in g.neighbors(v)
+
+    def test_isolated_vertices_share_storage(self):
+        tracemalloc.start()
+        try:
+            g = parse_graph("p 1000000 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m) == (10**6, 0)
+        assert g.neighbors(0) == g.neighbors(10**6 - 1) == ()
+        assert not g.has_edge(0, 1)
+        assert peak < 64_000_000
 
     def test_rejects_self_loop_and_bad_edge(self):
         with pytest.raises(InvalidSpecError):
