@@ -1,5 +1,7 @@
 """Path pool enumeration and the branch-and-bound oracle."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from isopath import (
     all_pairs_distances,
     canonical_path,
     enumerate_isometric_paths,
+    format_cover,
     greedy_cover,
     ip_multipartite,
     make_augmented_multipartite,
@@ -20,9 +23,10 @@ from isopath import (
     solve_min_cover,
     verify_cover,
 )
+from isopath.cli import _selftest_instances
 from isopath.formulas import ceil_div
 
-from conftest import spec_pairings
+from conftest import sorted_partitions, spec_pairings
 
 
 def pool_of(g):
@@ -174,9 +178,13 @@ class TestSolve:
         assert all(len(p) > 1 for p in result.optimum.paths)
 
 
+AUGMENTED_SIZES = ((3, 2), (3, 3, 2), (4, 2), (3, 1, 1))
+DOMINANT_5_1_PAIRING = ([(1, 2), (3, 4)], [])
+
+
 class TestAugmentedFamily:
     def test_balanced_and_many_odd_specs_keep_the_closed_form(self):
-        for sizes in ((3, 2), (3, 3, 2), (4, 2), (3, 1, 1)):
+        for sizes in AUGMENTED_SIZES:
             spec = PartiteSpec(sizes)
             expected = ip_multipartite(spec).value
             for pairing in spec_pairings(sizes, 3):
@@ -188,9 +196,61 @@ class TestAugmentedFamily:
         # hold three vertices of that part, so the ceil(n1/2) count is not
         # a lower bound any more; the solver certifies a 2-path cover
         spec = PartiteSpec((5, 1))
-        g = make_augmented_multipartite(spec, [[(1, 2), (3, 4)], []])
+        g = make_augmented_multipartite(spec, DOMINANT_5_1_PAIRING)
         result = solve_min_cover(g)
         assert result.proof_of_optimality
         assert verify_cover(g, result.optimum).valid
         assert result.size == 2
         assert ip_multipartite(spec).value == 3
+
+
+def _sweep_graphs():
+    """(key, graph, budgets) for every solve of the byte-stability sweep;
+    a budget of None is the default, full solve."""
+    small = [(("multipartite", sizes), make_complete_multipartite(PartiteSpec(sizes)))
+             for sizes in sorted_partitions(8)]
+    small += [(("hamming", factors), make_hamming(HammingSpec(factors)))
+              for factors in _selftest_instances(8)[1]]
+    for sizes in AUGMENTED_SIZES:
+        for pairing in spec_pairings(sizes, 3):
+            g = make_augmented_multipartite(PartiteSpec(sizes), pairing)
+            small.append((("augmented", sizes, pairing), g))
+    g = make_augmented_multipartite(PartiteSpec((5, 1)), DOMINANT_5_1_PAIRING)
+    small.append((("augmented", (5, 1), DOMINANT_5_1_PAIRING), g))
+    for key, g in small:
+        yield key, g, None
+    k12_12 = make_complete_multipartite(PartiteSpec((12, 12)))
+    yield ("multipartite", (12, 12)), k12_12, 8_000_000
+    yield ("hamming", (2, 2, 5)), make_hamming(HammingSpec((2, 2, 5))), 8_000_000
+
+
+# SHA-256 of the solver sweep below; any change to a size, node count, proof
+# flag, note or returned cover changes it.
+SOLVER_SWEEP_SHA256 = (
+    "69bc3292c38f4b566a2806b5beecb0d62b34c3658bcd442b13e5e0b2d4cef0b9"
+)
+
+
+def test_solver_sweep_is_byte_stable():
+    """Every sorted_partitions(8) multipartite spec, the selftest Hamming
+    specs and the augmented specs above, each solved in full and at budgets
+    0, 1, 2, nodes // 2 and nodes - 1; K12,12 and K2xK2xK5 at 8,000,000."""
+    digest = hashlib.sha256()
+
+    def record(key, budget, result):
+        digest.update(
+            f"{key!r} budget={budget} size={result.size} "
+            f"nodes={result.nodes_explored} proven={result.proof_of_optimality} "
+            f"note={result.optimum.note}\n".encode("ascii")
+        )
+        digest.update(format_cover(result.optimum).encode("ascii"))
+
+    for key, g, budget in _sweep_graphs():
+        result = solve_min_cover(g, budget)
+        record(key, budget, result)
+        if budget is not None:
+            continue
+        full = result.nodes_explored
+        for b in dict.fromkeys((0, 1, 2, full // 2, full - 1)):
+            record(key, b, solve_min_cover(g, b))
+    assert digest.hexdigest() == SOLVER_SWEEP_SHA256
