@@ -467,6 +467,9 @@ def parse_graph(text: str) -> Graph:
     if m is not None and len(edges) != m:
         raise FormatError(f"problem line declares {m} edges, file has {len(edges)}")
     try:
-        return Graph(n, edges)
+        g = Graph(n, edges)
     except (OutOfRangeError, InvalidSpecError) as exc:
         raise FormatError(str(exc)) from exc
+    if g.m != m:
+        raise FormatError(f"problem line declares {m} edges, file has {g.m} distinct")
+    return g

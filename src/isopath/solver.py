@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .cover import PROVENANCE_SOLVER, Cover, Path
 from .errors import DisconnectedGraphError, PoolBudgetError
-from .formulas import ceil_div
 from .graph import DistanceMatrix, Graph, all_pairs_distances
 
 DEFAULT_POOL_CAP = 10**7
@@ -115,11 +114,17 @@ def greedy_cover(g: Graph, pool: PathPool) -> Cover:
 def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     """Minimum isometric path cover by branch-and-bound over the path pool.
 
-    Branches on the lowest-index uncovered vertex, trying pool paths through
-    it in canonical order; prunes with the bound size + ceil(uncovered /
-    max-path-size).  The returned optimum is the first optimum in the
-    canonical search order.  If the node budget runs out the best incumbent
-    is returned with proof_of_optimality False.
+    The search is one loop over an explicit stack of open nodes.  A node is
+    a set of chosen paths; the root chooses none.  An open node branches on
+    its lowest-index uncovered vertex, trying the pool paths through it in
+    canonical order, and tests each child before descending: a child that
+    covers every vertex becomes the incumbent, a child whose bound size +
+    ceil(uncovered / max-path-size) does not beat the incumbent is cut, and
+    only the rest are opened.  ``nodes_explored`` counts the root and every
+    child tested, whether it completed the cover, was cut or was opened.
+    The returned optimum is the first optimum in the canonical search
+    order.  When a node would exceed the budget the search stops, and the
+    best incumbent is returned with proof_of_optimality False.
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
@@ -138,45 +143,57 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     for i, p in enumerate(pool.paths):
         if len(p) > 1:
             for v in p.vertices:
-                candidates[v].append(i)
+                candidates[v].append((i, masks[i]))
     for v in range(n):
         if not candidates[v]:
             candidates[v] = [
-                i for i, p in enumerate(pool.paths) if p.vertices == (v,)
+                (i, masks[i]) for i, p in enumerate(pool.paths) if p.vertices == (v,)
             ]
 
     greedy = _greedy_indices(pool, n)
     # limit = smallest size we still have to beat; ties with the greedy seed
     # are explored so the first optimum in canonical order is the one kept.
     limit = len(greedy) + 1
-    best = list(greedy)
+    best = greedy
     improved = False
-    nodes = 0
-    exhausted = False
+    # The root covers nothing and is never cut, since ceil(n / max_len) <=
+    # optimum <= len(greedy); it branches on vertex 0.
+    nodes = 1
+    exhausted = nodes > budget
+    # open nodes: (covered, depth, iterator over the untried candidates);
+    # chosen[:depth] holds the paths of the open node on top of the stack
+    stack = [] if exhausted else [(0, 0, iter(candidates[0]))]
+    chosen = [0] * n
+    while stack:
+        covered, depth, children = stack[-1]
+        depth += 1  # of the children
+        # A child at this depth covering k vertices is cut iff
+        # depth + ceil((n - k) / max_len) >= limit, that is iff k < need.
+        need = n - (limit - depth - 1) * max_len
+        for i, mask in children:
+            child = covered | mask
+            nodes += 1
+            if nodes > budget:
+                exhausted = True
+                stack.clear()
+                break
+            if child == full:
+                chosen[depth - 1] = i
+                best = chosen[:depth]
+                improved = True
+                limit = depth
+                need = n - (limit - depth - 1) * max_len
+                continue
+            if child.bit_count() < need:
+                continue
+            chosen[depth - 1] = i
+            # branch on the lowest uncovered vertex: the lowest 0 bit of child
+            v = (~child & (child + 1)).bit_length() - 1
+            stack.append((child, depth, iter(candidates[v])))
+            break
+        else:
+            stack.pop()
 
-    def search(covered, chosen):
-        nonlocal nodes, limit, best, improved, exhausted
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return True
-        if covered == full:
-            best = list(chosen)
-            improved = True
-            limit = len(chosen)
-            return False
-        if len(chosen) + ceil_div(n - covered.bit_count(), max_len) >= limit:
-            return False
-        v = ((~covered & full) & -(~covered & full)).bit_length() - 1
-        for i in candidates[v]:
-            chosen.append(i)
-            stop = search(covered | masks[i], chosen)
-            chosen.pop()
-            if stop:
-                return True
-        return False
-
-    search(0, [])
     note = "branch-and-bound optimum" if not exhausted else "budget-truncated incumbent"
     if not improved and exhausted:
         note = "greedy incumbent (budget exhausted)"

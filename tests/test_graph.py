@@ -342,6 +342,7 @@ class TestGraphTextFormat:
             "p 2 2\ne 0 1\n",
             "p 2 1\nx 0 1\n",
             "p 2 1\ne 0 one\n",
+            "p 3 2\ne 0 1\ne 1 0\n",
         ],
     )
     def test_malformed_rejected(self, text):

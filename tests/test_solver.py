@@ -168,6 +168,31 @@ class TestSolve:
         assert verify_cover(g, result.optimum).valid
         assert result.size >= 4
 
+    @pytest.mark.parametrize(
+        "g, full",
+        [
+            (make_hamming(HammingSpec((2, 2, 3))), 8988),
+            (make_complete_multipartite(PartiteSpec((2, 2))), 11),
+            (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 11),
+        ],
+        ids=["K2xK2xK3", "K2,2", "C5"],
+    )
+    def test_every_budget_up_to_the_full_search(self, g, full):
+        assert solve_min_cover(g).nodes_explored == full
+        for budget in range(full + 2):
+            result = solve_min_cover(g, budget)
+            proven = budget >= full
+            assert result.nodes_explored == min(budget + 1, full), budget
+            assert result.proof_of_optimality == proven, budget
+            if proven:
+                assert result.optimum.note == "branch-and-bound optimum"
+            else:
+                assert result.optimum.note in (
+                    "budget-truncated incumbent",
+                    "greedy incumbent (budget exhausted)",
+                )
+            assert verify_cover(g, result.optimum).valid, budget
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             solve_min_cover(Graph(3, [(0, 1)]))
@@ -205,7 +230,7 @@ class TestAugmentedFamily:
 
 
 def _sweep_graphs():
-    """(key, graph, budgets) for every solve of the byte-stability sweep;
+    """(key, graph, budget) for every solve of the byte-stability sweep;
     a budget of None is the default, full solve."""
     small = [(("multipartite", sizes), make_complete_multipartite(PartiteSpec(sizes)))
              for sizes in sorted_partitions(8)]
