@@ -122,9 +122,11 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     ceil(uncovered / max-path-size) does not beat the incumbent is cut, and
     only the rest are opened.  ``nodes_explored`` counts the root and every
     child tested, whether it completed the cover, was cut or was opened.
-    The returned optimum is the first optimum in the canonical search
-    order.  When a node would exceed the budget the search stops, and the
-    best incumbent is returned with proof_of_optimality False.
+    The result is deterministic: the optimum returned comes from the first
+    node, in canonical search order, with a complete child of optimum size,
+    and is that node's last such child.  When a node would exceed the
+    budget the search stops, and the best incumbent is returned with
+    proof_of_optimality False.
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
@@ -152,7 +154,7 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
 
     greedy = _greedy_indices(pool, n)
     # limit = smallest size we still have to beat; ties with the greedy seed
-    # are explored so the first optimum in canonical order is the one kept.
+    # are explored, so the search, not the greedy seed, picks the optimum.
     limit = len(greedy) + 1
     best = greedy
     improved = False
