@@ -94,7 +94,13 @@ def _write_text(path, text):
 
 def _read_text(path):
     with open(path, "r", encoding="ascii") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            # the whole file is decoded at once, so exc.start is its offset
+            raise FormatError(
+                f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not ASCII"
+            ) from None
 
 
 def _graph_dot(g: Graph, cover: Cover | None = None) -> str:

@@ -28,7 +28,7 @@ class Path:
     vertices: tuple
 
     def __post_init__(self):
-        vertices = tuple(int(v) for v in self.vertices)
+        vertices = tuple(map(int, self.vertices))
         if not vertices:
             raise ValueError("a path has at least one vertex")
         object.__setattr__(self, "vertices", vertices)
@@ -221,7 +221,7 @@ def parse_cover(text: str, provenance: str = PROVENANCE_FILE, note: str = "") ->
     comments = []
     for lineno, line in _path_lines(text, comments):
         try:
-            vertices = tuple(int(tok) for tok in line.split())
+            vertices = tuple(map(int, line.split()))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad vertex index") from exc
         paths.append(Path(vertices))

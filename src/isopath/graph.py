@@ -11,6 +11,7 @@ from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import product
+from operator import eq
 
 from .errors import (
     FormatError,
@@ -20,6 +21,9 @@ from .errors import (
 )
 
 UNREACHABLE = -1
+
+# Lines of a graph file read as one block by ``parse_graph``.
+_BLOCK_LINES = 4096
 
 # Largest edge count of a graph that is generated or parsed; the vertex
 # count is held to it too, since a parsed graph may have isolated vertices.
@@ -32,6 +36,24 @@ _NO_NEIGHBORS = frozenset()
 def _check_size(n, m, error=InvalidSpecError):
     if max(n, m) > MAX_EDGES:
         raise error(f"{n} vertices and {m} edges exceed the cap of {MAX_EDGES}")
+
+
+def _add_edges(sets, n, us, vs):
+    """Add the edges ``(us[i], vs[i])`` of an n-vertex graph to the adjacency
+    sets (a ``defaultdict(set)``).  The first edge out of range or a self-loop
+    raises OutOfRangeError or InvalidSpecError before any edge is added."""
+    if us and (
+        min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n
+        or any(map(eq, us, vs))
+    ):
+        for u, v in zip(us, vs):
+            if not (0 <= u < n and 0 <= v < n):
+                raise OutOfRangeError(f"edge ({u},{v}) out of range for n={n}")
+            if u == v:
+                raise InvalidSpecError(f"self-loop at vertex {u}")
+    for u, v in zip(us, vs):
+        sets[u].add(v)
+        sets[v].add(u)
 
 
 class Graph:
@@ -50,14 +72,14 @@ class Graph:
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
             raise InvalidSpecError("vertex count must be nonnegative")
+        edges = list(edges)
         sets = defaultdict(set)
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise OutOfRangeError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise InvalidSpecError(f"self-loop at vertex {u}")
-            sets[u].add(v)
-            sets[v].add(u)
+        _add_edges(sets, n, [u for u, _ in edges], [v for _, v in edges])
+        self._fill(n, sets, labels)
+
+    def _fill(self, n, sets, labels):
+        """Store the graph whose vertex v has the neighbour set ``sets[v]``
+        (none where v is absent)."""
         # isolated vertices share one empty tuple and one empty set
         adj = [()] * n
         nbr = [_NO_NEIGHBORS] * n
@@ -430,28 +452,28 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the graph text format; ``c`` comment lines are tolerated anywhere."""
-    n = None
-    m = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+def _read_lines(lines, lineno, header, us, vs):
+    """The line reader of the graph text format: read ``lines``, the first
+    numbered ``lineno``, one at a time and append the ends of each edge to
+    ``us`` and ``vs``.  ``header`` is the (n, m) of the problem line read
+    before them, or None; returns it as it is after them.  Raises the
+    FormatError of the first bad record, naming its line."""
+    for lineno, raw in enumerate(lines, lineno):
+        fields = raw.split()
+        if not fields or fields[0].startswith("c"):
             continue
-        fields = line.split()
         if fields[0] == "p":
-            if n is not None:
+            if header is not None:
                 raise FormatError(f"line {lineno}: duplicate problem line")
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'p <n> <m>'")
             try:
-                n, m = int(fields[1]), int(fields[2])
+                header = int(fields[1]), int(fields[2])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad problem line") from exc
-            _check_size(n, m, FormatError)
+            _check_size(*header, FormatError)
         elif fields[0] == "e":
-            if n is None:
+            if header is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
@@ -459,17 +481,81 @@ def parse_graph(text: str) -> Graph:
                 u, v = int(fields[1]), int(fields[2])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad edge line") from exc
-            edges.append((u, v))
+            us.append(u)
+            vs.append(v)
         else:
             raise FormatError(f"line {lineno}: unknown record {fields[0]!r}")
-    if n is None:
-        raise FormatError("missing problem line")
-    if m is not None and len(edges) != m:
-        raise FormatError(f"problem line declares {m} edges, file has {len(edges)}")
+    return header
+
+
+def _edge_block(lines):
+    """The ends (us, vs) of the edges of ``lines`` if every line starts with
+    ``e`` and is an ``e <u> <v>`` record, else None."""
+    k = len(lines)
+    text = "\n".join(lines)
+    tokens = text.split()
+    # Every line starts with "e" (the text does, and so does each line after
+    # a newline), and the tokens are k "e"s at every third place with int
+    # tokens between them.  An int token cannot start with "e", so the first
+    # tokens of the k lines are those k "e"s: each line is "e" and two ints.
+    if not (
+        text.startswith("e")
+        and text.count("\ne") == k - 1
+        and len(tokens) == 3 * k
+        and tokens[0::3].count("e") == k
+    ):
+        return None
     try:
-        g = Graph(n, edges)
-    except (OutOfRangeError, InvalidSpecError) as exc:
-        raise FormatError(str(exc)) from exc
+        return list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
+    except ValueError:
+        return None
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the graph text format; ``c`` comment lines are tolerated anywhere.
+
+    The errors come in this order: the first bad line, a missing problem
+    line, an edge count other than the declared one, the first edge out of
+    range or self-loop, and a count of distinct edges other than declared.
+    """
+    lines = text.splitlines()
+    header = None
+    start = 0
+    # the line reader takes the lines up to the problem line one at a time
+    while header is None:
+        if start == len(lines):
+            raise FormatError("missing problem line")
+        header = _read_lines(lines[start:start + 1], start + 1, None, [], [])
+        start += 1
+    n, m = header
+    sets = defaultdict(set)
+    count = 0
+    error = None
+    # After the problem line, a block of lines that are all edge records
+    # goes through C-level split and int conversion; any other block goes
+    # through the line reader, which skips comments and blanks and raises
+    # the error of its first bad line.
+    for start in range(start, len(lines), _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        ends = _edge_block(block)
+        if ends is None:
+            ends = [], []
+            _read_lines(block, start + 1, header, *ends)
+        count += len(ends[0])
+        # past m edges the count check fails anyway: stop storing them
+        if error is None and count <= m:
+            try:
+                _add_edges(sets, n, *ends)
+            except (OutOfRangeError, InvalidSpecError) as exc:
+                error = exc
+    if count != m:
+        raise FormatError(f"problem line declares {m} edges, file has {count}")
+    if n < 0:
+        raise FormatError("vertex count must be nonnegative")
+    if error is not None:
+        raise FormatError(str(error)) from error
+    g = Graph.__new__(Graph)
+    g._fill(n, sets, None)
     if g.m != m:
         raise FormatError(f"problem line declares {m} edges, file has {g.m} distinct")
     return g

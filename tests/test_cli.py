@@ -185,6 +185,25 @@ class TestConstructVerify:
         assert code == 1
         assert "error:" in err
 
+    def test_non_ascii_graph_byte_exits_1(self, capsys, tmp_path):
+        g = tmp_path / "g.txt"
+        g.write_bytes(b"p 2 1\ne 0 1 \xc3\xa9\n")
+        code, out, err = run(capsys, "solve", "-g", str(g))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {g}: byte 0xc3 at offset 12 is not ASCII\n"
+
+    def test_non_ascii_cover_byte_exits_1(self, capsys, tmp_path):
+        g = tmp_path / "g.txt"
+        c = tmp_path / "c.cover"
+        g.write_bytes(b"p 2 1\r\ne 0 1\r\n")
+        # offsets count each CR LF as two bytes
+        c.write_bytes(b"0\r\n\r\n1 \xff\n")
+        code, out, err = run(capsys, "verify", "-g", str(g), "-c", str(c))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {c}: byte 0xff at offset 7 is not ASCII\n"
+
 
 class TestSolve:
     def test_golden_k21(self, capsys, tmp_path):

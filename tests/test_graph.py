@@ -5,7 +5,7 @@ import tracemalloc
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isopath import (
     FormatError,
@@ -24,6 +24,7 @@ from isopath import (
     make_hamming,
     parse_graph,
 )
+from isopath import graph as graph_module
 from isopath.graph import MAX_EDGES, sorted_partitions
 
 from conftest import spec_pairings
@@ -41,6 +42,22 @@ FAMILY_SWEEP = [
 FAMILY_SWEEP_SHA256 = (
     "657e16417ef21244515b53fc8ecd527661126142ac003ab0348d950a8774dd1f"
 )
+
+
+# Each malformed graph file and the message of its FormatError.  The last
+# holds an edge out of range in the first block of lines and a bad line in
+# the second: the bad line is reported.
+EARLY_RANGE_ERROR_LATE_BAD_LINE = "p 100 5000\ne 0 100\n" + "e 1 2\n" * 4998 + "e 1 x\n"
+MALFORMED_GRAPHS = {
+    "e 0 1\n": "line 1: edge before problem line",
+    "p 2\n": "line 1: expected 'p <n> <m>'",
+    "p 2 1\ne 0 5\n": "edge (0,5) out of range for n=2",
+    "p 2 2\ne 0 1\n": "problem line declares 2 edges, file has 1",
+    "p 2 1\nx 0 1\n": "line 2: unknown record 'x'",
+    "p 2 1\ne 0 one\n": "line 2: bad edge line",
+    "p 3 2\ne 0 1\ne 1 0\n": "problem line declares 2 edges, file has 1 distinct",
+    EARLY_RANGE_ERROR_LATE_BAD_LINE: "line 5001: bad edge line",
+}
 
 
 def spec_id(spec):
@@ -335,19 +352,145 @@ class TestGraphTextFormat:
 
     @pytest.mark.parametrize(
         "text",
-        [
-            "e 0 1\n",
-            "p 2\n",
-            "p 2 1\ne 0 5\n",
-            "p 2 2\ne 0 1\n",
-            "p 2 1\nx 0 1\n",
-            "p 2 1\ne 0 one\n",
-            "p 3 2\ne 0 1\ne 1 0\n",
-        ],
+        list(MALFORMED_GRAPHS),
+        # None keeps the text as the id
+        ids=lambda text: "range-error-then-bad-line" if len(text) > 100 else None,
     )
     def test_malformed_rejected(self, text):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as info:
             parse_graph(text)
+        assert str(info.value) == MALFORMED_GRAPHS[text]
+
+    def test_parse_peak_memory(self):
+        tracemalloc.start()
+        try:
+            g = parse_graph(format_graph(make_complete_multipartite(PartiteSpec((300, 200, 100)))))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == 110_000
+        # one list of the file's lines and the adjacency sets, no list of
+        # all its tokens
+        assert peak <= 28_000_000
+
+
+def line_by_line_parse(text):
+    """The line-by-line parser that ``parse_graph`` reads blocks in place of,
+    kept as the reference: (n, m, {vertex: sorted neighbours}), or the
+    FormatError it raised."""
+    n = None
+    m = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if n is not None:
+                raise FormatError(f"line {lineno}: duplicate problem line")
+            if len(fields) != 3:
+                raise FormatError(f"line {lineno}: expected 'p <n> <m>'")
+            try:
+                n, m = int(fields[1]), int(fields[2])
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: bad problem line") from exc
+            if max(n, m) > MAX_EDGES:
+                raise FormatError(f"{n} vertices and {m} edges exceed the cap of {MAX_EDGES}")
+        elif fields[0] == "e":
+            if n is None:
+                raise FormatError(f"line {lineno}: edge before problem line")
+            if len(fields) != 3:
+                raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: bad edge line") from exc
+            edges.append((u, v))
+        else:
+            raise FormatError(f"line {lineno}: unknown record {fields[0]!r}")
+    if n is None:
+        raise FormatError("missing problem line")
+    if len(edges) != m:
+        raise FormatError(f"problem line declares {m} edges, file has {len(edges)}")
+    if n < 0:
+        raise FormatError("vertex count must be nonnegative")
+    adjacency = {}
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise FormatError(f"self-loop at vertex {u}")
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+    distinct = sum(map(len, adjacency.values())) // 2
+    if distinct != m:
+        raise FormatError(f"problem line declares {m} edges, file has {distinct} distinct")
+    return n, m, {v: tuple(sorted(s)) for v, s in adjacency.items()}
+
+
+# Lines mixed into drawn graph files: comments, blank lines, leading
+# blanks, int tokens in other spellings, "e" in a number's place,
+# misaligned records, and edges out of range, self-loops and repeats.
+NOISE_LINES = [
+    "c a comment", "c", "  c indented", "\tc", "", "   ", "\t",
+    "  e 0 1", "\te 1 2", "e +1 2", "e 1_0 2", "e 0 +2", "e\t0\t1", "e 0 1 ",
+    "e e 1", "e 1 e", "e 1", "2 e 3 4", "e 0 1 2", "e", "ee 0 1", "e1 2 3",
+    "e 0 one", "e 0 9", "e -1 0", "e 2 2", "e 0 0", "e 1 0", "e 0 1",
+    "e 1\n2 e 3 4", "e 0 1 e\n1 2", "\ne 0 1 e 1 2",
+    "x 0 1", "p 3 1", "p 3", "p x 1", "E 0 1", "e 0\x1f1", "e \u0663 1",
+]
+
+
+@st.composite
+def graph_files(draw):
+    n = draw(st.integers(min_value=-1, max_value=6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # now and then an edge with an end at -1 or n, or a self-loop
+    wild = st.tuples(st.integers(-1, n), st.integers(-1, n))
+    edge = st.one_of(st.sampled_from(pairs), wild) if pairs else wild
+    edges = draw(st.lists(edge, unique=draw(st.booleans())))
+    lines = [f"e {v} {u}" if draw(st.booleans()) else f"e {u} {v}" for u, v in edges]
+    m = len(edges) + draw(st.sampled_from((0, 0, 0, -1, 1)))
+    if draw(st.integers(0, 9)):
+        lines.insert(0, f"p {n} {m}")
+    for _ in range(draw(st.integers(0, 3))):
+        noise = draw(st.sampled_from(NOISE_LINES))
+        lines.insert(draw(st.integers(0, len(lines))), noise)
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + draw(st.sampled_from(("", newline)))
+
+
+def parse_or_error(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return type(exc), str(exc)
+
+
+class TestParseMatchesLineByLine:
+    @settings(max_examples=400, deadline=None)
+    @given(graph_files())
+    # two lines with 6 tokens, "e" at every third and ints between, that
+    # are not two edges
+    @example("p 4 2\ne 1\n2 e 3 4\n")
+    @example("p 3 2\ne 0 1 e\n1 2\n")
+    @example("p 3 2\n\ne 0 1 e 1 2\n")
+    def test_same_graph_or_same_error(self, text):
+        want = parse_or_error(line_by_line_parse, text)
+        # blocks of 1 to 3 lines put block ends everywhere and mix edge
+        # lines with others in one block
+        for block_lines in (1, 2, 3, graph_module._BLOCK_LINES):
+            saved = graph_module._BLOCK_LINES
+            graph_module._BLOCK_LINES = block_lines
+            try:
+                got = parse_or_error(parse_graph, text)
+            finally:
+                graph_module._BLOCK_LINES = saved
+            if isinstance(got, Graph):
+                neighbors = {v: got.neighbors(v) for v in range(got.n) if got.neighbors(v)}
+                got = got.n, got.m, neighbors
+            assert got == want, block_lines
 
 
 def explicit_family_graph(spec):
