@@ -1,9 +1,9 @@
 """Independent brute-force oracle: enumerate all isometric paths of a small
 graph and find a minimum cover by branch-and-bound set cover.
 
-Correctness over speed: intended for graphs up to roughly 30 vertices.
-The search is single-threaded and fully deterministic; identical inputs
-yield identical results including the node count.
+Intended for graphs up to roughly 30 vertices.  The search is
+single-threaded and fully deterministic; identical inputs yield identical
+results including the node count.
 """
 
 from dataclasses import dataclass
@@ -122,6 +122,11 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     ceil(uncovered / max-path-size) does not beat the incumbent is cut, and
     only the rest are opened.  ``nodes_explored`` counts the root and every
     child tested, whether it completed the cover, was cut or was opened.
+    A subtree in which no cover was completed is recorded in a table, and a
+    later node with the same covered vertices and the same slack (limit -
+    depth) adds the recorded count instead of searching it again; so
+    ``nodes_explored`` is the node count of the plain search, replayed
+    subtrees included, and the budget limits that count.
     The result is deterministic: the optimum returned comes from the first
     node, in canonical search order, with a complete child of optimum size,
     and is that node's last such child.  When a node would exceed the
@@ -157,21 +162,33 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     # are explored, so the search, not the greedy seed, picks the optimum.
     limit = len(greedy) + 1
     best = greedy
-    improved = False
     # The root covers nothing and is never cut, since ceil(n / max_len) <=
     # optimum <= len(greedy); it branches on vertex 0.
     nodes = 1
     exhausted = nodes > budget
-    # open nodes: (covered, depth, iterator over the untried candidates);
-    # chosen[:depth] holds the paths of the open node on top of the stack
-    stack = [] if exhausted else [(0, 0, iter(candidates[0]))]
+    # Failed-subtree table.  Below a node, until a cover is completed, the
+    # search reads only its covered mask and its slack limit - depth: the
+    # children come from candidates[lowest uncovered vertex of covered],
+    # the cut is k < n - (limit - depth - 1) * max_len, and chosen and best
+    # are written but never read.  So a subtree in which no cover was
+    # completed is searched the same way, node for node and again without a
+    # completion, wherever the same covered mask recurs at the same slack.
+    # failed maps covered | slack << n to the nodes counted below such a
+    # node; a hit adds them instead of searching the subtree again.
+    failed = {}
+    completions = 0
+    # open nodes: (covered, depth, iterator over the untried candidates,
+    # nodes and completions when it was opened); chosen[:depth] holds the
+    # paths of the open node on top of the stack
+    stack = [] if exhausted else [(0, 0, iter(candidates[0]), nodes, 0)]
     chosen = [0] * n
     while stack:
-        covered, depth, children = stack[-1]
+        covered, depth, children, _, _ = stack[-1]
         depth += 1  # of the children
         # A child at this depth covering k vertices is cut iff
         # depth + ceil((n - k) / max_len) >= limit, that is iff k < need.
         need = n - (limit - depth - 1) * max_len
+        slack_key = (limit - depth) << n
         for i, mask in children:
             child = covered | mask
             nodes += 1
@@ -182,22 +199,35 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
             if child == full:
                 chosen[depth - 1] = i
                 best = chosen[:depth]
-                improved = True
+                completions += 1
                 limit = depth
                 need = n - (limit - depth - 1) * max_len
+                slack_key = (limit - depth) << n
                 continue
             if child.bit_count() < need:
+                continue
+            below = failed.get(child | slack_key)
+            if below is not None:
+                nodes += below
+                if nodes > budget:
+                    # the plain search would stop inside this subtree
+                    nodes = budget + 1
+                    exhausted = True
+                    stack.clear()
+                    break
                 continue
             chosen[depth - 1] = i
             # branch on the lowest uncovered vertex: the lowest 0 bit of child
             v = (~child & (child + 1)).bit_length() - 1
-            stack.append((child, depth, iter(candidates[v])))
+            stack.append((child, depth, iter(candidates[v]), nodes, completions))
             break
         else:
-            stack.pop()
+            covered, depth, _, opened, completed = stack.pop()
+            if completed == completions:
+                failed[covered | (limit - depth) << n] = nodes - opened
 
     note = "branch-and-bound optimum" if not exhausted else "budget-truncated incumbent"
-    if not improved and exhausted:
+    if not completions and exhausted:
         note = "greedy incumbent (budget exhausted)"
     cover = Cover(
         tuple(pool.paths[i] for i in best),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from isopath import cli
+from isopath import cli, solver
 from isopath.cli import main
 
 
@@ -265,3 +265,45 @@ class TestSelftest:
         assert lines[-1] == "selftest: 30/30 ok"
         assert lines == sorted(lines[:-1]) + [lines[-1]]
         assert all(" ok" in line for line in lines[:-1])
+
+    def test_unproven_solve_is_not_agreement(self, capsys, monkeypatch):
+        # at a budget of 0 every solve returns the greedy incumbent, which
+        # on these small graphs often has the formula's size
+        monkeypatch.setattr(solver, "DEFAULT_NODE_BUDGET", 0)
+        code, out, _ = run(capsys, "selftest", "--max-n", "5")
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[-1] == "selftest: 0/30 FAIL"
+        assert all(line.endswith(" UNPROVEN") for line in lines[:-1])
+        assert "multipartite 1,1 formula=1 solver=1 UNPROVEN" in lines
+
+
+class TestUsageErrors:
+    def error_lines(self, err):
+        return [line for line in err.splitlines() if "error:" in line]
+
+    @pytest.mark.parametrize("budget", ["abc", "-1"])
+    def test_bad_budget_exits_1(self, capsys, tmp_path, budget):
+        g = tmp_path / "g.txt"
+        g.write_text("p 2 1\ne 0 1\n", encoding="ascii")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-g", str(g), "--budget", budget])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.error_lines(captured.err) == [
+            "isopath solve: error: argument --budget: "
+            f"need a non-negative integer, got {budget!r}"
+        ]
+
+    def test_unknown_command_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 1
+        assert len(self.error_lines(capsys.readouterr().err)) == 1
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: isopath solve")

@@ -25,6 +25,7 @@ from isopath import (
 )
 from isopath.cli import _selftest_instances
 from isopath.formulas import ceil_div
+from isopath.solver import _greedy_indices
 
 from conftest import sorted_partitions, spec_pairings
 
@@ -279,3 +280,107 @@ def test_solver_sweep_is_byte_stable():
         for b in dict.fromkeys((0, 1, 2, full // 2, full - 1)):
             record(key, b, solve_min_cover(g, b))
     assert digest.hexdigest() == SOLVER_SWEEP_SHA256
+
+
+def _plain_search(g, budget):
+    """The branch and bound without the failed-subtree table, copied from
+    solve_min_cover as it was before the table: the reference that the
+    table must reproduce exactly.  Returns (size, nodes_explored,
+    proof_of_optimality, note, path tuples)."""
+    pool = pool_of(g)
+    n = g.n
+    full = (1 << n) - 1
+    masks = pool.masks
+    max_len = pool.max_path_vertices
+    candidates = [[] for _ in range(n)]
+    for i, p in enumerate(pool.paths):
+        if len(p) > 1:
+            for v in p.vertices:
+                candidates[v].append((i, masks[i]))
+    for v in range(n):
+        if not candidates[v]:
+            candidates[v] = [
+                (i, masks[i]) for i, p in enumerate(pool.paths) if p.vertices == (v,)
+            ]
+    greedy = _greedy_indices(pool, n)
+    limit = len(greedy) + 1
+    best = greedy
+    improved = False
+    nodes = 1
+    exhausted = nodes > budget
+    stack = [] if exhausted else [(0, 0, iter(candidates[0]))]
+    chosen = [0] * n
+    while stack:
+        covered, depth, children = stack[-1]
+        depth += 1
+        need = n - (limit - depth - 1) * max_len
+        for i, mask in children:
+            child = covered | mask
+            nodes += 1
+            if nodes > budget:
+                exhausted = True
+                stack.clear()
+                break
+            if child == full:
+                chosen[depth - 1] = i
+                best = chosen[:depth]
+                improved = True
+                limit = depth
+                need = n - (limit - depth - 1) * max_len
+                continue
+            if child.bit_count() < need:
+                continue
+            chosen[depth - 1] = i
+            v = (~child & (child + 1)).bit_length() - 1
+            stack.append((child, depth, iter(candidates[v])))
+            break
+        else:
+            stack.pop()
+    note = "branch-and-bound optimum" if not exhausted else "budget-truncated incumbent"
+    if not improved and exhausted:
+        note = "greedy incumbent (budget exhausted)"
+    paths = tuple(pool.paths[i].vertices for i in best)
+    return len(best), nodes, not exhausted, note, paths
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random connected graph on 2-14 vertices: a random spanning tree
+    (each vertex joined to an earlier one) plus a drawn set of other edges."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    edges |= {pair for pair in pairs if draw(st.floats(0, 1)) < density}
+    return Graph(n, sorted(edges))
+
+
+@settings(max_examples=120, deadline=None)
+@given(connected_graphs(), st.data())
+def test_the_table_replays_the_plain_search_exactly(g, data):
+    def outcome(result):
+        return (
+            result.size,
+            result.nodes_explored,
+            result.proof_of_optimality,
+            result.optimum.note,
+            tuple(p.vertices for p in result.optimum.paths),
+        )
+
+    full = solve_min_cover(g).nodes_explored
+    drawn = data.draw(st.integers(min_value=0, max_value=full + 1))
+    for budget in dict.fromkeys((0, 1, 2, full - 1, full, full + 1, drawn)):
+        assert outcome(solve_min_cover(g, budget)) == _plain_search(g, budget), budget
+
+
+def test_k3_1x13_is_proven_past_the_default_budget():
+    # the many-odd case of the multipartite formula at 16 vertices: the
+    # plain search takes about 22 s CPU to reach the same count
+    g = make_complete_multipartite(PartiteSpec((3,) + (1,) * 13))
+    result = solve_min_cover(g, 2 * 10**8)
+    assert (result.size, result.nodes_explored, result.proof_of_optimality) == (
+        8,
+        117_306_667,
+        True,
+    )
+    assert ip_multipartite(PartiteSpec((3,) + (1,) * 13)).value == 8
