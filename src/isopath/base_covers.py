@@ -1,15 +1,15 @@
 """Built-in base covers backing the cover constructors.
 
-Covers live in the ``fixtures`` package directory, one file per key named
-``<family>_<sizes>.cover`` (multipartite keys sorted non-increasing,
-Hamming keys non-decreasing).  Multipartite entries were produced by the
+Covers live in the ``fixtures`` directory beside this module, one file
+per key named ``<family>_<sizes>.cover`` (multipartite keys sorted
+non-increasing, Hamming keys non-decreasing).  Multipartite entries were produced by the
 exact solver and frozen; Hamming entries are hand-entered tables in the
 labeled coordinate format.  Every entry is re-verified against its graph
 at load time: it must be a valid cover of exactly the closed-form size.
 Fixtures are never regenerated at runtime (see tools/make_fixtures.py).
 """
 
-from importlib import resources
+import os
 
 from .cover import PROVENANCE_TABLE, Cover, parse_cover, parse_cover_labeled, verify_cover
 from .errors import ConstructionError, UnknownCoverKeyError
@@ -19,6 +19,8 @@ from .graph import HammingSpec, PartiteSpec, make_complete_multipartite, make_ha
 FAMILY_MULTIPARTITE = "multipartite"
 FAMILY_HAMMING2 = "hamming2"
 FAMILY_HAMMING3 = "hamming3"
+
+_FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 _TABLE = None
 
@@ -56,17 +58,15 @@ def _verify_entry(family, key, cover):
 
 def _load_table():
     table = {}
-    fixture_dir = resources.files(__package__).joinpath("fixtures")
-    names = sorted(
-        entry.name for entry in fixture_dir.iterdir() if entry.name.endswith(".cover")
-    )
+    names = sorted(name for name in os.listdir(_FIXTURES) if name.endswith(".cover"))
     if not names:
         raise ConstructionError("no base cover fixtures found")
     for name in names:
         stem = name[: -len(".cover")]
         family, _, size_part = stem.partition("_")
         key = tuple(int(tok) for tok in size_part.split("-"))
-        text = fixture_dir.joinpath(name).read_text(encoding="ascii")
+        with open(os.path.join(_FIXTURES, name), encoding="ascii") as handle:
+            text = handle.read()
         if family == FAMILY_MULTIPARTITE:
             cover = parse_cover(text, provenance=PROVENANCE_TABLE)
         elif family in (FAMILY_HAMMING2, FAMILY_HAMMING3):

@@ -1,7 +1,6 @@
 """Path/cover data model, certificate verification, and text formats."""
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import FormatError, OutOfRangeError
 from .graph import (
     Graph,
@@ -18,17 +17,16 @@ PROVENANCE_TABLE = "base-table"
 PROVENANCE_TAGS = (PROVENANCE_FORMULA, PROVENANCE_SOLVER, PROVENANCE_FILE, PROVENANCE_TABLE)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """Ordered vertex sequence claimed to be an isometric path.
 
     Distinctness and adjacency are checked at verification time, not here.
     """
 
-    vertices: tuple
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        vertices = tuple(map(int, self.vertices))
+    def __init__(self, vertices):
+        vertices = tuple(map(int, vertices))
         if not vertices:
             raise ValueError("a path has at least one vertex")
         object.__setattr__(self, "vertices", vertices)
@@ -59,21 +57,20 @@ def canonical_path(p: Path) -> Path:
     return p.reverse() if p.last < p.first else p
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Record):
     """A multiset of paths plus provenance metadata; the central certificate object.
 
     Vertex overlap between paths is permitted (covers are not partitions).
     """
 
-    paths: tuple
-    provenance: str = PROVENANCE_FILE
-    note: str = ""
+    __slots__ = ("paths", "provenance", "note")
 
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance tag {self.provenance!r}")
+    def __init__(self, paths, provenance=PROVENANCE_FILE, note=""):
+        object.__setattr__(self, "paths", tuple(paths))
+        if provenance not in PROVENANCE_TAGS:
+            raise ValueError(f"unknown provenance tag {provenance!r}")
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "note", note)
 
     def __len__(self):
         return len(self.paths)
@@ -91,19 +88,20 @@ def covered_set(c: Cover) -> set:
     return out
 
 
-@dataclass(frozen=True)
-class PathVerdict:
-    simple: bool
-    walk: bool
-    isometric: bool
+class PathVerdict(Record):
+    __slots__ = ("simple", "walk", "isometric")
+
+    def __init__(self, simple, walk, isometric):
+        object.__setattr__(self, "simple", simple)
+        object.__setattr__(self, "walk", walk)
+        object.__setattr__(self, "isometric", isometric)
 
     @property
     def ok(self):
         return self.simple and self.walk and self.isometric
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Machine-checkable verdict on a (graph, cover) pair.
 
     ``valid`` holds iff every path verdict is fully true and ``uncovered``
@@ -112,12 +110,15 @@ class VerifyReport:
     diagnostic only.
     """
 
-    valid: bool
-    path_verdicts: tuple
-    uncovered: tuple
-    size: int
-    overlap: int
-    normal_form: bool | None = None
+    __slots__ = ("valid", "path_verdicts", "uncovered", "size", "overlap", "normal_form")
+
+    def __init__(self, valid, path_verdicts, uncovered, size, overlap, normal_form=None):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "path_verdicts", path_verdicts)
+        object.__setattr__(self, "uncovered", uncovered)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "overlap", overlap)
+        object.__setattr__(self, "normal_form", normal_form)
 
 
 def _is_shortest(g: Graph, verts) -> bool:

@@ -4,8 +4,7 @@ All arithmetic is exact integer arithmetic; ceilings are computed as
 ``(a + b - 1) // b``.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import FormulaConflictError, InvalidSpecError
 from .graph import HammingSpec, PartiteSpec
 
@@ -21,11 +20,13 @@ def ceil_div(a: int, b: int) -> int:
     return (a + b - 1) // b
 
 
-@dataclass(frozen=True)
-class FormulaResult:
-    value: int
-    case_tag: str
-    inputs: tuple
+class FormulaResult(Record):
+    __slots__ = ("value", "case_tag", "inputs")
+
+    def __init__(self, value, case_tag, inputs):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "case_tag", case_tag)
+        object.__setattr__(self, "inputs", inputs)
 
 
 def odd_part_count(spec: PartiteSpec) -> int:

@@ -9,10 +9,10 @@ significant.
 
 from bisect import bisect_right
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from itertools import product
 from operator import eq
 
+from ._record import Record
 from .errors import (
     FormatError,
     InvalidPairingError,
@@ -216,24 +216,22 @@ class _MultipartiteGraph(Graph):
         return bisect_right(self._offsets, u) != bisect_right(self._offsets, v)
 
 
-@dataclass(frozen=True)
-class PartiteSpec:
+class PartiteSpec(Record):
     """Validated part sizes of a complete multipartite graph.
 
     ``sizes`` is normalized to non-increasing order at construction;
     ``input_sizes`` keeps the order as given for label round-tripping.
     """
 
-    sizes: tuple
-    input_sizes: tuple = ()
+    __slots__ = ("sizes", "input_sizes")
 
-    def __post_init__(self):
-        given = tuple(int(s) for s in self.sizes)
+    def __init__(self, sizes, input_sizes=()):
+        given = tuple(int(s) for s in sizes)
         if not given:
             raise InvalidSpecError("at least one part is required")
         if any(s < 1 for s in given):
             raise InvalidSpecError(f"part sizes must be positive: {given}")
-        original = tuple(int(s) for s in self.input_sizes) or given
+        original = tuple(int(s) for s in input_sizes) or given
         object.__setattr__(self, "sizes", tuple(sorted(given, reverse=True)))
         object.__setattr__(self, "input_sizes", original)
 
@@ -284,14 +282,13 @@ def sorted_partitions(max_n):
     return out
 
 
-@dataclass(frozen=True)
-class HammingSpec:
+class HammingSpec(Record):
     """Validated factor sizes of a Hamming graph (product of 1 to 3 complete graphs)."""
 
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        given = tuple(int(f) for f in self.factors)
+    def __init__(self, factors):
+        given = tuple(int(f) for f in factors)
         if not 1 <= len(given) <= 3:
             raise InvalidSpecError(f"1 to 3 factors supported, got {len(given)}")
         if any(f < 2 for f in given):

@@ -6,18 +6,19 @@ single-threaded and fully deterministic; identical inputs yield identical
 results including the node count.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .cover import PROVENANCE_SOLVER, Cover, Path
 from .errors import DisconnectedGraphError, PoolBudgetError
 from .graph import DistanceMatrix, Graph, all_pairs_distances
 
 DEFAULT_POOL_CAP = 10**7
 DEFAULT_NODE_BUDGET = 10**8
+# Most entries the failed-subtree table of one solve holds; an entry takes
+# about 100 bytes, so a full table is about 200 MB.
+FAILED_TABLE_CAP = 1 << 21
 
 
-@dataclass(frozen=True)
-class PathPool:
+class PathPool(Record):
     """All isometric paths of a graph in canonical order.
 
     Paths are stored with the lexicographically smaller endpoint first and
@@ -25,17 +26,22 @@ class PathPool:
     is the covered-vertex bitset of ``paths[i]``.
     """
 
-    paths: tuple
-    masks: tuple
-    max_path_vertices: int
+    __slots__ = ("paths", "masks", "max_path_vertices")
+
+    def __init__(self, paths, masks, max_path_vertices):
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "max_path_vertices", max_path_vertices)
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    optimum: Cover
-    size: int
-    nodes_explored: int
-    proof_of_optimality: bool
+class SolveResult(Record):
+    __slots__ = ("optimum", "size", "nodes_explored", "proof_of_optimality")
+
+    def __init__(self, optimum, size, nodes_explored, proof_of_optimality):
+        object.__setattr__(self, "optimum", optimum)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
+        object.__setattr__(self, "proof_of_optimality", proof_of_optimality)
 
 
 def enumerate_isometric_paths(
@@ -126,7 +132,9 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     later node with the same covered vertices and the same slack (limit -
     depth) adds the recorded count instead of searching it again; so
     ``nodes_explored`` is the node count of the plain search, replayed
-    subtrees included, and the budget limits that count.
+    subtrees included, and the budget limits that count.  The table keeps
+    at most FAILED_TABLE_CAP entries; past that, subtrees are searched
+    again, which changes the time taken but not the result.
     The result is deterministic: the optimum returned comes from the first
     node, in canonical search order, with a complete child of optimum size,
     and is that node's last such child.  When a node would exceed the
@@ -174,8 +182,10 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     # completed is searched the same way, node for node and again without a
     # completion, wherever the same covered mask recurs at the same slack.
     # failed maps covered | slack << n to the nodes counted below such a
-    # node; a hit adds them instead of searching the subtree again.
+    # node; a hit adds them instead of searching the subtree again.  A full
+    # table takes no more entries: a replay is exact, so this costs time only.
     failed = {}
+    failed_cap = FAILED_TABLE_CAP
     completions = 0
     # open nodes: (covered, depth, iterator over the untried candidates,
     # nodes and completions when it was opened); chosen[:depth] holds the
@@ -223,7 +233,7 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
             break
         else:
             covered, depth, _, opened, completed = stack.pop()
-            if completed == completions:
+            if completed == completions and len(failed) < failed_cap:
                 failed[covered | (limit - depth) << n] = nodes - opened
 
     note = "branch-and-bound optimum" if not exhausted else "budget-truncated incumbent"

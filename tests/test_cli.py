@@ -1,4 +1,8 @@
-"""CLI behavior: output grammar, exit codes, file round-trips."""
+"""CLI behavior: output grammar, exit codes, file round-trips, start-up."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -307,3 +311,41 @@ class TestUsageErrors:
             main(["solve", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: isopath solve")
+
+
+# Modules that dataclasses (inspect, ast) and importlib.resources (pathlib,
+# tempfile, zipfile) bring in, each several milliseconds of every start.
+HEAVY_MODULES = {
+    "dataclasses",
+    "inspect",
+    "ast",
+    "importlib.resources",
+    "pathlib",
+    "tempfile",
+    "zipfile",
+}
+
+START_UP_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import isopath.cli
+from isopath import base_covers
+base_covers.base_cover_table()
+print(*sorted(sys.modules))
+"""
+
+
+def test_start_up_imports_no_heavy_modules():
+    # what a CLI process does before its command runs; -S keeps the site
+    # module and its .pth files from importing any of these first
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP_PROBE, src],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "isopath.base_covers" in loaded
+    assert sorted(HEAVY_MODULES & loaded) == []

@@ -1,6 +1,7 @@
 """Path pool enumeration and the branch-and-bound oracle."""
 
 import hashlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from isopath import (
 )
 from isopath.cli import _selftest_instances
 from isopath.formulas import ceil_div
+from isopath import solver
 from isopath.solver import _greedy_indices
 
 from conftest import sorted_partitions, spec_pairings
@@ -370,7 +372,12 @@ def test_the_table_replays_the_plain_search_exactly(g, data):
     full = solve_min_cover(g).nodes_explored
     drawn = data.draw(st.integers(min_value=0, max_value=full + 1))
     for budget in dict.fromkeys((0, 1, 2, full - 1, full, full + 1, drawn)):
-        assert outcome(solve_min_cover(g, budget)) == _plain_search(g, budget), budget
+        plain = _plain_search(g, budget)
+        assert outcome(solve_min_cover(g, budget)) == plain, budget
+        # a table that is full, from the start or part way, records no more
+        for cap in (0, 64):
+            with mock.patch.object(solver, "FAILED_TABLE_CAP", cap):
+                assert outcome(solve_min_cover(g, budget)) == plain, (budget, cap)
 
 
 def test_k3_1x13_is_proven_past_the_default_budget():
