@@ -2,9 +2,9 @@
 
 Covers live in the ``fixtures`` directory beside this module, one file
 per key named ``<family>_<sizes>.cover`` (multipartite keys sorted
-non-increasing, Hamming keys non-decreasing).  Multipartite entries were produced by the
-exact solver and frozen; Hamming entries are hand-entered tables in the
-labeled coordinate format.  Every entry is re-verified against its graph
+non-increasing, Hamming keys non-decreasing).  Multipartite entries were
+produced by the exact solver and frozen; Hamming entries are hand-entered
+tables in the labeled coordinate format.  Every entry is re-verified against its graph
 at load time: it must be a valid cover of exactly the closed-form size.
 Fixtures are never regenerated at runtime (see tools/make_fixtures.py).
 """

@@ -24,9 +24,9 @@ from isopath import (
     solve_min_cover,
     verify_cover,
 )
+from isopath import solver
 from isopath.cli import _selftest_instances
 from isopath.formulas import ceil_div
-from isopath import solver
 from isopath.solver import _greedy_indices
 
 from conftest import sorted_partitions, spec_pairings
