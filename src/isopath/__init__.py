@@ -20,9 +20,6 @@ from .cover import (
     Path,
     PathVerdict,
     VerifyReport,
-    canonical_path,
-    cover_size,
-    covered_set,
     format_cover,
     format_cover_labeled,
     parse_cover,
@@ -42,16 +39,13 @@ from .errors import (
 )
 from .formulas import (
     FormulaResult,
-    ip_complete,
     ip_hamming2,
     ip_hamming3,
     ip_lower_bound_hamming,
     ip_lower_bound_multipartite,
     ip_multipartite,
-    odd_part_count,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
     HammingSpec,
     PartiteSpec,
@@ -68,7 +62,6 @@ from .solver import (
     PathPool,
     SolveResult,
     enumerate_isometric_paths,
-    greedy_cover,
     solve_min_cover,
 )
 

@@ -11,7 +11,7 @@ Fixtures are never regenerated at runtime (see tools/make_fixtures.py).
 
 import os
 
-from .cover import PROVENANCE_TABLE, Cover, parse_cover, parse_cover_labeled, verify_cover
+from .cover import Cover, parse_cover, parse_cover_labeled, verify_cover
 from .errors import ConstructionError, UnknownCoverKeyError
 from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
 from .graph import HammingSpec, PartiteSpec, make_complete_multipartite, make_hamming
@@ -68,9 +68,9 @@ def _load_table():
         with open(os.path.join(_FIXTURES, name), encoding="ascii") as handle:
             text = handle.read()
         if family == FAMILY_MULTIPARTITE:
-            cover = parse_cover(text, provenance=PROVENANCE_TABLE)
+            cover = parse_cover(text)
         elif family in (FAMILY_HAMMING2, FAMILY_HAMMING3):
-            cover = parse_cover_labeled(text, HammingSpec(key), provenance=PROVENANCE_TABLE)
+            cover = parse_cover_labeled(text, HammingSpec(key))
         else:
             raise ConstructionError(f"unknown fixture family in {name!r}")
         if key != canonical_key(family, key):
@@ -89,13 +89,10 @@ def base_cover_table() -> dict:
 
 
 def base_cover_lookup(family: str, key) -> Cover:
-    """Stored base cover for the canonicalized key.
-
-    Covers are immutable value objects; a fresh wrapper is returned so
-    callers can treat the result as their own copy.
-    """
+    """Stored base cover for the canonicalized key; covers are immutable,
+    so the table's own entry is returned."""
     table = base_cover_table()
     entry = table.get((family, canonical_key(family, key)))
     if entry is None:
         raise UnknownCoverKeyError(f"{family} {tuple(key)}")
-    return Cover(entry.paths, provenance=entry.provenance, note=entry.note)
+    return entry

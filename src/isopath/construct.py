@@ -20,7 +20,7 @@ from .base_covers import (
     base_cover_lookup,
     base_cover_table,
 )
-from .cover import PROVENANCE_FORMULA, Cover, Path
+from .cover import Cover, Path
 from .errors import ConstructionError, InvalidSpecError
 from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
 from .graph import HammingSpec, PartiteSpec, decode_coordinates
@@ -146,7 +146,6 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
         )
     return Cover(
         tuple(paths),
-        provenance=PROVENANCE_FORMULA,
         note=f"complete multipartite {','.join(str(s) for s in spec.sizes)}",
     )
 
@@ -207,7 +206,6 @@ def _hamming_cover(factors, expected, rule):
         )
     return Cover(
         paths,
-        provenance=PROVENANCE_FORMULA,
         note=f"hamming {','.join(str(n) for n in factors)}",
     )
 

@@ -10,12 +10,6 @@ from .graph import (
     format_coordinates,
 )
 
-PROVENANCE_FORMULA = "formula-construction"
-PROVENANCE_SOLVER = "exact-solver"
-PROVENANCE_FILE = "file"
-PROVENANCE_TABLE = "base-table"
-PROVENANCE_TAGS = (PROVENANCE_FORMULA, PROVENANCE_SOLVER, PROVENANCE_FILE, PROVENANCE_TABLE)
-
 
 class Path(Record):
     """Ordered vertex sequence claimed to be an isometric path.
@@ -34,58 +28,18 @@ class Path(Record):
     def __len__(self):
         return len(self.vertices)
 
-    def __iter__(self):
-        return iter(self.vertices)
-
-    @property
-    def first(self):
-        return self.vertices[0]
-
-    @property
-    def last(self):
-        return self.vertices[-1]
-
-    def reverse(self):
-        return Path(self.vertices[::-1])
-
-
-def canonical_path(p: Path) -> Path:
-    """Orientation with the lexicographically smaller endpoint first.
-
-    Storage never canonicalizes; comparison utilities do.
-    """
-    return p.reverse() if p.last < p.first else p
-
 
 class Cover(Record):
-    """A multiset of paths plus provenance metadata; the central certificate object.
+    """A multiset of paths plus a free-text note; the central certificate object.
 
     Vertex overlap between paths is permitted (covers are not partitions).
     """
 
-    __slots__ = ("paths", "provenance", "note")
+    __slots__ = ("paths", "note")
 
-    def __init__(self, paths, provenance=PROVENANCE_FILE, note=""):
+    def __init__(self, paths, note=""):
         object.__setattr__(self, "paths", tuple(paths))
-        if provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance tag {provenance!r}")
-        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "note", note)
-
-    def __len__(self):
-        return len(self.paths)
-
-
-def cover_size(c: Cover) -> int:
-    return len(c.paths)
-
-
-def covered_set(c: Cover) -> set:
-    """Union of the vertex sets of all paths."""
-    out = set()
-    for p in c.paths:
-        out.update(p.vertices)
-    return out
 
 
 class PathVerdict(Record):
@@ -153,7 +107,7 @@ def _normal_form_ok(c: Cover) -> bool:
         if len(p) not in (2, 3):
             return False
         if len(p) == 3:
-            for v in (p.first, p.last):
+            for v in (p.vertices[0], p.vertices[-1]):
                 if v in endpoint_seen:
                     return False
                 endpoint_seen.add(v)
@@ -216,7 +170,7 @@ def _path_lines(text, comments):
         yield lineno, line
 
 
-def parse_cover(text: str, provenance: str = PROVENANCE_FILE, note: str = "") -> Cover:
+def parse_cover(text: str) -> Cover:
     """Parse the cover text format; ``#`` lines are collected into the note."""
     paths = []
     comments = []
@@ -226,7 +180,7 @@ def parse_cover(text: str, provenance: str = PROVENANCE_FILE, note: str = "") ->
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad vertex index") from exc
         paths.append(Path(vertices))
-    return Cover(tuple(paths), provenance=provenance, note=note or "; ".join(comments))
+    return Cover(tuple(paths), note="; ".join(comments))
 
 
 def format_cover_labeled(c: Cover, spec: HammingSpec, comments=()) -> str:
@@ -238,9 +192,7 @@ def format_cover_labeled(c: Cover, spec: HammingSpec, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cover_labeled(
-    text: str, spec: HammingSpec, provenance: str = PROVENANCE_FILE, note: str = ""
-) -> Cover:
+def parse_cover_labeled(text: str, spec: HammingSpec) -> Cover:
     """Parse the labeled format back to vertex indices via encode_coordinates."""
     paths = []
     comments = []
@@ -258,4 +210,4 @@ def parse_cover_labeled(
             except OutOfRangeError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
         paths.append(Path(tuple(vertices)))
-    return Cover(tuple(paths), provenance=provenance, note=note or "; ".join(comments))
+    return Cover(tuple(paths), note="; ".join(comments))

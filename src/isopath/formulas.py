@@ -21,24 +21,11 @@ def ceil_div(a: int, b: int) -> int:
 
 
 class FormulaResult(Record):
-    __slots__ = ("value", "case_tag", "inputs")
+    __slots__ = ("value", "case_tag")
 
-    def __init__(self, value, case_tag, inputs):
+    def __init__(self, value, case_tag):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "case_tag", case_tag)
-        object.__setattr__(self, "inputs", inputs)
-
-
-def odd_part_count(spec: PartiteSpec) -> int:
-    """Number of parts of odd size."""
-    return spec.alpha
-
-
-def ip_complete(n: int) -> int:
-    """Isometric path number of the complete graph K_n: ceil(n/2)."""
-    if n < 1:
-        raise InvalidSpecError("complete graph order must be positive")
-    return ceil_div(n, 2)
 
 
 def ip_multipartite(spec: PartiteSpec) -> FormulaResult:
@@ -62,17 +49,17 @@ def ip_multipartite(spec: PartiteSpec) -> FormulaResult:
             f"({ceil_div(n1, 2)} vs {ceil_div(n + alpha, 4)})"
         )
     if dominant:
-        return FormulaResult(ceil_div(n1, 2), CASE_DOMINANT_PART, spec.sizes)
+        return FormulaResult(ceil_div(n1, 2), CASE_DOMINANT_PART)
     if many_odd:
-        return FormulaResult(ceil_div(n + alpha, 4), CASE_MANY_ODD, spec.sizes)
-    return FormulaResult(ceil_div(n, 3), CASE_BALANCED, spec.sizes)
+        return FormulaResult(ceil_div(n + alpha, 4), CASE_MANY_ODD)
+    return FormulaResult(ceil_div(n, 3), CASE_BALANCED)
 
 
 def ip_hamming2(n1: int, n2: int) -> FormulaResult:
     """Isometric path number of K_{n1} x K_{n2}: ceil(n1*n2/3)."""
     if n1 < 2 or n2 < 2:
         raise InvalidSpecError("factors must be at least 2")
-    return FormulaResult(ceil_div(n1 * n2, 3), CASE_HAMMING2, (n1, n2))
+    return FormulaResult(ceil_div(n1 * n2, 3), CASE_HAMMING2)
 
 
 def ip_hamming3(n1: int, n2: int, n3: int) -> FormulaResult:
@@ -87,8 +74,8 @@ def ip_hamming3(n1: int, n2: int, n3: int) -> FormulaResult:
     n = n1 * n2 * n3
     a, b, c = sorted(factors)
     if a == 2 and b == 2 and c % 2 == 1:
-        return FormulaResult(n // 4 + 1, CASE_HAMMING3_EXCEPTIONAL, factors)
-    return FormulaResult(ceil_div(n, 4), CASE_HAMMING3_MAIN, factors)
+        return FormulaResult(n // 4 + 1, CASE_HAMMING3_EXCEPTIONAL)
+    return FormulaResult(ceil_div(n, 4), CASE_HAMMING3_MAIN)
 
 
 def ip_lower_bound_hamming(spec: HammingSpec) -> int:

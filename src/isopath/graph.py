@@ -103,9 +103,6 @@ class Graph:
     def neighbors(self, v):
         return self._adj[v]
 
-    def degree(self, v):
-        return len(self._adj[v])
-
     def has_edge(self, u, v):
         return v in self._nbr[u]
 
@@ -124,13 +121,12 @@ class _HammingGraph(Graph):
     """K_{n1} x ... x K_{nr}: two vertices are adjacent iff their mixed-radix
     coordinates differ in exactly one place.  No edge is stored."""
 
-    __slots__ = ("_factors", "_axes", "_degree")
+    __slots__ = ("_factors", "_axes")
 
     def __init__(self, spec):
         self._factors = spec.factors
         self.n = spec.n
-        self._degree = sum(f - 1 for f in spec.factors)
-        self.m = self.n * self._degree // 2
+        self.m = self.n * sum(f - 1 for f in spec.factors) // 2
         self._labels = None
         # (stride, stride * size) of each axis, the most significant first:
         # v % stride holds the digits below the axis, v // (stride * size)
@@ -163,9 +159,6 @@ class _HammingGraph(Graph):
             lower.extend(block)
         return tuple(lower)
 
-    def degree(self, v):
-        return self._degree
-
     def has_edge(self, u, v):
         if u == v:
             return False
@@ -197,18 +190,11 @@ class _MultipartiteGraph(Graph):
             )
         return self._labels
 
-    def _block(self, v):
-        """(start, end) of the part block holding v."""
-        i = bisect_right(self._offsets, v) - 1
-        return self._offsets[i], self._offsets[i] + self._sizes[i]
-
     def neighbors(self, v):
-        start, end = self._block(v)
-        return (*range(start), *range(end, self.n))
-
-    def degree(self, v):
-        start, end = self._block(v)
-        return self.n - (end - start)
+        # every vertex outside the part block holding v
+        i = bisect_right(self._offsets, v) - 1
+        start = self._offsets[i]
+        return (*range(start), *range(start + self._sizes[i], self.n))
 
     def has_edge(self, u, v):
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -307,26 +293,6 @@ class HammingSpec(Record):
         return len(self.factors)
 
 
-class DistanceMatrix:
-    """All-pairs graph distances; UNREACHABLE (-1) marks disconnected pairs."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def __getitem__(self, u):
-        return self._rows[u]
-
-    @property
-    def n(self):
-        return len(self._rows)
-
-    @property
-    def connected(self):
-        return all(d != UNREACHABLE for row in self._rows for d in row)
-
-
 def _bfs_row(adj, n, source):
     dist = [UNREACHABLE] * n
     dist[source] = 0
@@ -341,10 +307,11 @@ def _bfs_row(adj, n, source):
     return dist
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Exact BFS distances from every source vertex."""
+def all_pairs_distances(g: Graph) -> list:
+    """Exact BFS distances from every source vertex: row u holds d(u, v) at
+    index v, UNREACHABLE (-1) where there is no path."""
     adj = [g.neighbors(v) for v in range(g.n)]
-    return DistanceMatrix([_bfs_row(adj, g.n, s) for s in range(g.n)])
+    return [_bfs_row(adj, g.n, s) for s in range(g.n)]
 
 
 def make_complete_multipartite(spec: PartiteSpec) -> Graph:

@@ -7,11 +7,12 @@ results including the node count.
 """
 
 from ._record import Record
-from .cover import PROVENANCE_SOLVER, Cover, Path
+from .cover import Cover, Path
 from .errors import DisconnectedGraphError, PoolBudgetError
-from .graph import DistanceMatrix, Graph, all_pairs_distances
+from .graph import Graph, all_pairs_distances
 
-DEFAULT_POOL_CAP = 10**7
+# Most path vertices, summed over the paths, that one path pool stores.
+POOL_CAP = 10**7
 DEFAULT_NODE_BUDGET = 10**8
 # Most entries the failed-subtree table of one solve holds; an entry takes
 # about 100 bytes, so a full table is about 200 MB.
@@ -44,39 +45,41 @@ class SolveResult(Record):
         object.__setattr__(self, "proof_of_optimality", proof_of_optimality)
 
 
-def enumerate_isometric_paths(
-    g: Graph, d: DistanceMatrix, pool_cap: int = DEFAULT_POOL_CAP
-) -> PathPool:
+def enumerate_isometric_paths(g: Graph, d: list) -> PathPool:
     """Every simple path whose edge length equals its endpoint distance,
     including all 1- and 2-vertex paths, each exactly once in canonical form.
+
+    ``d`` is the distance matrix of g (``all_pairs_distances``).  Raises
+    PoolBudgetError when the paths would store more than POOL_CAP vertices
+    in all, checked first against a lower bound: n singletons plus one
+    shortest path of d(s, t) + 1 vertices for each pair s < t.
     """
     n = g.n
-    if n == 0 or not all(d[0][v] >= 0 for v in range(n)):
-        raise DisconnectedGraphError("isometric path enumeration needs a connected graph")
+    if n == 0 or min(d[0]) < 0:
+        raise DisconnectedGraphError("path enumeration needs a non-empty connected graph")
+    too_many = f"isometric path pool exceeds cap of {POOL_CAP} vertices"
+    if n + n * (n - 1) // 2 + sum(map(sum, d)) // 2 > POOL_CAP:
+        raise PoolBudgetError(too_many)
+    stored = n
     found = [Path((v,)) for v in range(n)]
     adj = [g.neighbors(v) for v in range(n)]
-
-    def extend(prefix, t, remaining):
-        # prefix is isometric from its start; remaining = d(start, t) - len in edges
-        if len(found) > pool_cap:
-            raise PoolBudgetError(f"isometric path pool exceeds cap {pool_cap}")
-        tail = prefix[-1]
-        row_s = d[prefix[0]]
-        row_t = d[t]
-        depth = len(prefix)
-        for w in adj[tail]:
-            if row_s[w] != depth or row_t[w] != remaining - 1:
-                continue
-            if w == t:
-                found.append(Path(prefix + (w,)))
-            else:
-                extend(prefix + (w,), t, remaining - 1)
-
-    for s in range(n):
-        for t in range(s + 1, n):
-            extend((s,), t, d[s][t])
-    if len(found) > pool_cap:
-        raise PoolBudgetError(f"isometric path pool exceeds cap {pool_cap}")
+    for t in range(1, n):
+        # A walk that steps to a vertex one closer to t at every step is a
+        # shortest path: its start is at distance k from t after k steps.
+        row = d[t]
+        closer = [[w for w in adj[v] if row[w] < row[v]] for v in range(n)]
+        for s in range(t):
+            stack = [(s,)]
+            while stack:
+                prefix = stack.pop()
+                for w in closer[prefix[-1]]:
+                    if w == t:
+                        stored += len(prefix) + 1
+                        if stored > POOL_CAP:
+                            raise PoolBudgetError(too_many)
+                        found.append(Path(prefix + (w,)))
+                    else:
+                        stack.append(prefix + (w,))
     found.sort(key=lambda p: p.vertices)
     masks = []
     for p in found:
@@ -106,17 +109,6 @@ def _greedy_indices(pool: PathPool, n: int):
     return chosen
 
 
-def greedy_cover(g: Graph, pool: PathPool) -> Cover:
-    """Valid cover from repeatedly taking the canonical-first path covering
-    the most uncovered vertices; used to seed the exact search."""
-    chosen = _greedy_indices(pool, g.n)
-    return Cover(
-        tuple(pool.paths[i] for i in chosen),
-        provenance=PROVENANCE_SOLVER,
-        note="greedy upper bound",
-    )
-
-
 def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     """Minimum isometric path cover by branch-and-bound over the path pool.
 
@@ -143,10 +135,7 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-    d = all_pairs_distances(g)
-    if g.n == 0 or not d.connected:
-        raise DisconnectedGraphError("solver needs a non-empty connected graph")
-    pool = enumerate_isometric_paths(g, d)
+    pool = enumerate_isometric_paths(g, all_pairs_distances(g))
     n = g.n
     full = (1 << n) - 1
     masks = pool.masks
@@ -239,11 +228,7 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     note = "branch-and-bound optimum" if not exhausted else "budget-truncated incumbent"
     if not completions and exhausted:
         note = "greedy incumbent (budget exhausted)"
-    cover = Cover(
-        tuple(pool.paths[i] for i in best),
-        provenance=PROVENANCE_SOLVER,
-        note=note,
-    )
+    cover = Cover(tuple(pool.paths[i] for i in best), note=note)
     return SolveResult(
         optimum=cover,
         size=len(best),

@@ -261,6 +261,38 @@ class TestPaths:
         assert out == "0\n0 2\n0 2 1\n1\n1 2\n2\n"
 
 
+class TestPoolInputs:
+    """solve and paths on graphs the path pool is not built for: exit 1 with
+    one error line, never a traceback or an internal error."""
+
+    # 1,200 vertices, 1,199 edges: one path for each of the 719,400 pairs
+    # stores about n^3/6 = 2.9x10^8 vertices, far past the pool cap
+    PATH_1200 = "p 1200 1199\n" + "".join(f"e {v} {v + 1}\n" for v in range(1199))
+
+    COMMANDS = [("paths", "--count-only"), ("solve",)]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_long_path_graph_exits_1(self, capsys, tmp_path, command):
+        g = tmp_path / "g.txt"
+        g.write_text(self.PATH_1200, encoding="ascii")
+        code, out, err = run(capsys, command[0], "-g", str(g), *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err == "error: isometric path pool exceeds cap of 10000000 vertices\n"
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "text", ["p 3 1\ne 0 1\n", "p 0 0\n"], ids=["disconnected", "empty"]
+    )
+    def test_disconnected_or_empty_graph_exits_1(self, capsys, tmp_path, command, text):
+        g = tmp_path / "g.txt"
+        g.write_text(text, encoding="ascii")
+        code, out, err = run(capsys, command[0], "-g", str(g), *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err == "error: path enumeration needs a non-empty connected graph\n"
+
+
 class TestSelftest:
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--max-n", "5")

@@ -14,7 +14,6 @@ from isopath import (
     cover_hamming2,
     cover_hamming3,
     cover_multipartite,
-    covered_set,
     format_cover,
     ip_hamming2,
     ip_hamming3,
@@ -76,11 +75,11 @@ class TestBaseCoverTable:
         assert stored == balanced
         assert len(stored) == 24
 
-    def test_lookup_returns_a_fresh_cover_object(self):
-        a = base_cover_lookup("hamming2", (2, 2))
-        b = base_cover_lookup("hamming2", (2, 2))
-        assert a is not b
-        assert a.paths == b.paths
+    def test_lookup_returns_the_stored_cover(self):
+        # covers are immutable, so the table's entry is handed out as it is
+        a = base_cover_lookup("hamming3", (3, 2, 3))
+        assert a is base_cover_lookup("hamming3", (2, 3, 3))
+        assert a is base_cover_table()[("hamming3", (2, 3, 3))]
 
 
 class TestCoverMultipartite:
@@ -109,7 +108,7 @@ class TestCoverMultipartite:
         spec = PartiteSpec((3, 3, 2))
         cover = cover_multipartite(spec)
         assert len(cover.paths) == 3
-        assert covered_set(cover) == set(range(8))
+        assert {v for p in cover.paths for v in p.vertices} == set(range(8))
 
     def test_rejects_single_part(self):
         with pytest.raises(InvalidSpecError):
@@ -223,7 +222,7 @@ def test_covers_past_the_recursion_limit(factors):
     else:
         cover, expected = cover_hamming3(*factors), ip_hamming3(*factors).value
     assert len(cover.paths) == expected
-    assert covered_set(cover) == set(range(spec.n))
+    assert {v for p in cover.paths for v in p.vertices} == set(range(spec.n))
     for p in cover.paths:
         coords = [decode_coordinates(spec, v) for v in p.vertices]
         assert all(_differing(x, y) == 1 for x, y in zip(coords, coords[1:]))

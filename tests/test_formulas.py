@@ -8,13 +8,11 @@ from isopath import (
     HammingSpec,
     InvalidSpecError,
     PartiteSpec,
-    ip_complete,
     ip_hamming2,
     ip_hamming3,
     ip_lower_bound_hamming,
     ip_lower_bound_multipartite,
     ip_multipartite,
-    odd_part_count,
 )
 from isopath.formulas import ceil_div
 
@@ -26,17 +24,19 @@ class TestOddPartCount:
         "sizes,alpha", [((3, 3, 2), 2), ((5, 1), 2), ((2, 2), 0)]
     )
     def test_examples(self, sizes, alpha):
-        assert odd_part_count(PartiteSpec(sizes)) == alpha
+        assert PartiteSpec(sizes).alpha == alpha
 
 
 class TestIpComplete:
-    @pytest.mark.parametrize("n,value", [(1, 1), (2, 1), (5, 3)])
+    # K_n is the complete multipartite graph with n parts of size 1
+    @pytest.mark.parametrize("n,value", [(2, 1), (5, 3)])
     def test_examples(self, n, value):
-        assert ip_complete(n) == value
+        result = ip_multipartite(PartiteSpec((1,) * n))
+        assert (result.value, result.case_tag) == (value, "MANY_ODD")
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidSpecError):
-            ip_complete(0)
+            ip_multipartite(PartiteSpec((1,) * 0))
 
 
 class TestIpMultipartite:

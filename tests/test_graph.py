@@ -140,7 +140,7 @@ class TestCompleteMultipartite:
     def test_2_2_is_the_4_cycle(self):
         g = make_complete_multipartite(PartiteSpec((2, 2)))
         assert (g.n, g.m) == (4, 4)
-        assert all(g.degree(v) == 2 for v in range(4))
+        assert all(len(g.neighbors(v)) == 2 for v in range(4))
 
     def test_3_3_2_edge_count(self):
         g = make_complete_multipartite(PartiteSpec((3, 3, 2)))
@@ -217,12 +217,12 @@ class TestHamming:
     def test_2_2_2_is_the_3_cube(self):
         g = make_hamming(HammingSpec((2, 2, 2)))
         assert (g.n, g.m) == (8, 12)
-        assert all(g.degree(v) == 3 for v in range(8))
+        assert all(len(g.neighbors(v)) == 3 for v in range(8))
 
     def test_3_3_degrees(self):
         g = make_hamming(HammingSpec((3, 3)))
         assert (g.n, g.m) == (9, 18)
-        assert all(g.degree(v) == 4 for v in range(9))
+        assert all(len(g.neighbors(v)) == 4 for v in range(9))
 
     def test_labels_are_coordinate_tuples(self):
         g = make_hamming(HammingSpec((2, 3)))
@@ -300,13 +300,12 @@ class TestDistances:
 
     def test_unreachable_sentinel(self):
         d = all_pairs_distances(Graph(2))
-        assert d[0][1] == -1
-        assert not d.connected
+        assert d == [[0, -1], [-1, 0]]
 
     def test_generated_families_are_connected(self):
         for sizes in sorted_partitions(6):
             g = make_complete_multipartite(PartiteSpec(sizes))
-            assert all_pairs_distances(g).connected
+            assert min(all_pairs_distances(g)[0]) >= 0
 
     def test_matrix_invariants(self):
         g = make_hamming(HammingSpec((2, 3, 4)))
@@ -524,7 +523,6 @@ class TestFamilyGraphs:
         for u in range(g.n):
             assert g.neighbors(u) == want.neighbors(u)
             assert type(g.neighbors(u)) is tuple
-            assert g.degree(u) == want.degree(u)
             # one index past each end too: never an edge
             assert [g.has_edge(u, v) for v in range(-1, g.n + 1)] == [
                 want.has_edge(u, v) for v in range(-1, g.n + 1)

@@ -33,14 +33,13 @@ RECORDS = [
         "vertices",
     ),
     (
-        Cover(paths=(P01,), provenance="exact-solver", note="n"),
-        Cover([Path((0, 1))], "exact-solver", "n"),
+        Cover(paths=(P01,), note="n"),
+        Cover([Path((0, 1))], "n"),
         [
-            Cover((P01,), provenance="file", note="n"),
-            Cover((P01,), provenance="exact-solver", note=""),
-            Cover((Path((1, 0)),), provenance="exact-solver", note="n"),
+            Cover((P01,), note=""),
+            Cover((Path((1, 0)),), note="n"),
         ],
-        "Cover(paths=(Path(vertices=(0, 1)),), provenance='exact-solver', note='n')",
+        "Cover(paths=(Path(vertices=(0, 1)),), note='n')",
         "paths",
     ),
     (
@@ -84,10 +83,10 @@ RECORDS = [
         "factors",
     ),
     (
-        FormulaResult(value=2, case_tag="BALANCED", inputs=(2, 2, 2)),
-        FormulaResult(2, "BALANCED", (2, 2, 2)),
-        [FormulaResult(3, "BALANCED", (2, 2, 2)), FormulaResult(2, "MANY_ODD", (2, 2, 2))],
-        "FormulaResult(value=2, case_tag='BALANCED', inputs=(2, 2, 2))",
+        FormulaResult(value=2, case_tag="BALANCED"),
+        FormulaResult(2, "BALANCED"),
+        [FormulaResult(3, "BALANCED"), FormulaResult(2, "MANY_ODD")],
+        "FormulaResult(value=2, case_tag='BALANCED')",
         "value",
     ),
     (
@@ -102,8 +101,8 @@ RECORDS = [
         SolveResult(optimum=C01, size=1, nodes_explored=5, proof_of_optimality=True),
         SolveResult(Cover((Path((0, 1)),)), 1, 5, True),
         [SolveResult(C01, 1, 6, True), SolveResult(C01, 1, 5, False)],
-        "SolveResult(optimum=Cover(paths=(Path(vertices=(0, 1)),), provenance='file', "
-        "note=''), size=1, nodes_explored=5, proof_of_optimality=True)",
+        "SolveResult(optimum=Cover(paths=(Path(vertices=(0, 1)),), note=''), size=1, "
+        "nodes_explored=5, proof_of_optimality=True)",
         "size",
     ),
 ]
@@ -158,7 +157,7 @@ def test_pickle_and_copy_round_trip(record, equal, others, text, field):
 
 def test_defaults():
     cover = Cover((P01,))
-    assert (cover.provenance, cover.note) == ("file", "")
+    assert cover.note == ""
     report = VerifyReport(valid=True, path_verdicts=(), uncovered=(), size=0, overlap=0)
     assert report.normal_form is None
     spec = PartiteSpec(sizes=(2, 3))
@@ -170,8 +169,6 @@ def test_construction_keeps_its_checks():
     with pytest.raises(ValueError):
         Path(())
     assert Cover([P01]).paths == (P01,)
-    with pytest.raises(ValueError):
-        Cover((P01,), provenance="guess")
     with pytest.raises(InvalidSpecError):
         PartiteSpec(())
     with pytest.raises(InvalidSpecError):

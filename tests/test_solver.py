@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isopath import (
+    Cover,
     DisconnectedGraphError,
     Graph,
     HammingSpec,
     PartiteSpec,
     PoolBudgetError,
     all_pairs_distances,
-    canonical_path,
     enumerate_isometric_paths,
     format_cover,
-    greedy_cover,
     ip_multipartite,
     make_augmented_multipartite,
     make_complete_multipartite,
@@ -34,6 +33,11 @@ from conftest import sorted_partitions, spec_pairings
 
 def pool_of(g):
     return enumerate_isometric_paths(g, all_pairs_distances(g))
+
+
+def greedy_cover(g):
+    pool = pool_of(g)
+    return Cover(pool.paths[i] for i in _greedy_indices(pool, g.n))
 
 
 class TestEnumeration:
@@ -63,7 +67,7 @@ class TestEnumeration:
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
         for p in pool.paths:
-            assert canonical_path(p).vertices == p.vertices
+            assert p.vertices[0] <= p.vertices[-1]
 
     def test_masks_match_paths(self):
         pool = pool_of(make_hamming(HammingSpec((2, 2))))
@@ -77,8 +81,27 @@ class TestEnumeration:
 
     def test_pool_cap(self):
         g = make_hamming(HammingSpec((3, 3)))
-        with pytest.raises(PoolBudgetError):
-            enumerate_isometric_paths(g, all_pairs_distances(g), pool_cap=5)
+        with mock.patch.object(solver, "POOL_CAP", 5), pytest.raises(PoolBudgetError):
+            pool_of(g)
+
+    def test_pool_cap_counts_stored_vertices(self):
+        # the 3-cube: 8 singletons, 12 edges, two 3-vertex paths for each of
+        # the 12 pairs at distance 2 and six 4-vertex paths for each of the
+        # 4 antipodal pairs store 8 + 24 + 72 + 96 = 200 vertices; the lower
+        # bound checked before enumerating is 8 + 28 + 48 = 84
+        g = make_hamming(HammingSpec((2, 2, 2)))
+        with mock.patch.object(solver, "POOL_CAP", 200):
+            assert sum(map(len, pool_of(g).paths)) == 200
+        for cap in (84, 199):
+            with mock.patch.object(solver, "POOL_CAP", cap), pytest.raises(PoolBudgetError):
+                pool_of(g)
+        # below the lower bound not one path is built
+        with (
+            mock.patch.object(solver, "POOL_CAP", 83),
+            mock.patch.object(solver, "Path", side_effect=AssertionError),
+            pytest.raises(PoolBudgetError),
+        ):
+            pool_of(g)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=7), st.data())
@@ -106,18 +129,18 @@ class TestEnumeration:
 class TestGreedy:
     def test_cube_upper_bound(self):
         g = make_hamming(HammingSpec((2, 2, 2)))
-        cover = greedy_cover(g, pool_of(g))
+        cover = greedy_cover(g)
         assert verify_cover(g, cover).valid
         assert len(cover.paths) <= 3
 
     def test_single_vertex(self):
         g = Graph(1)
-        cover = greedy_cover(g, pool_of(g))
+        cover = greedy_cover(g)
         assert [p.vertices for p in cover.paths] == [(0,)]
 
     def test_star_k21_is_one_path(self):
         g = make_complete_multipartite(PartiteSpec((2, 1)))
-        cover = greedy_cover(g, pool_of(g))
+        cover = greedy_cover(g)
         assert len(cover.paths) == 1
         assert verify_cover(g, cover).valid
 

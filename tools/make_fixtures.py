@@ -16,14 +16,7 @@ Run from the repository root after an editable install:
 import sys
 from pathlib import Path as FsPath
 
-from isopath.cover import (
-    Cover,
-    Path,
-    PROVENANCE_TABLE,
-    format_cover,
-    format_cover_labeled,
-    verify_cover,
-)
+from isopath.cover import Cover, Path, format_cover, format_cover_labeled, verify_cover
 from isopath.formulas import ip_hamming2, ip_hamming3, ip_multipartite
 from isopath.graph import (
     HammingSpec,
@@ -31,6 +24,7 @@ from isopath.graph import (
     encode_coordinates,
     make_complete_multipartite,
     make_hamming,
+    sorted_partitions,
 )
 from isopath.solver import solve_min_cover
 
@@ -225,21 +219,9 @@ BALANCED_BASE_KEYS = [
 
 def balanced_keys_up_to(limit):
     """All size vectors with r >= 2, n <= limit in the ceil(n/3) case."""
-    found = []
-
-    def partitions(total, largest, prefix):
-        if total == 0:
-            if len(prefix) >= 2:
-                found.append(tuple(prefix))
-            return
-        for part in range(min(total, largest), 0, -1):
-            partitions(total - part, part, prefix + [part])
-
-    for n in range(2, limit + 1):
-        partitions(n, n, [])
     return [
         key
-        for key in found
+        for key in sorted_partitions(limit)
         if ip_multipartite(PartiteSpec(key)).case_tag == "BALANCED"
     ]
 
@@ -280,7 +262,7 @@ def write_hamming_fixtures():
         paths = tuple(
             Path(tuple(encode_coordinates(spec, v) for v in p)) for p in table
         )
-        cover = Cover(paths, provenance=PROVENANCE_TABLE)
+        cover = Cover(paths)
         check(cover, make_hamming(spec), ip_hamming2(*key).value, f"hamming2 {key}")
         name = "hamming2_" + "-".join(str(s) for s in key) + ".cover"
         comments = [
@@ -297,7 +279,7 @@ def write_hamming_fixtures():
         paths = tuple(
             Path(tuple(encode_coordinates(spec, v) for v in p)) for p in table
         )
-        cover = Cover(paths, provenance=PROVENANCE_TABLE)
+        cover = Cover(paths)
         check(cover, make_hamming(spec), ip_hamming3(*key).value, f"hamming3 {key}")
         name = "hamming3_" + "-".join(str(s) for s in key) + ".cover"
         comments = [
@@ -330,7 +312,7 @@ def write_multipartite_fixtures():
                 f"multipartite {key}: solver found {result.size}, formula {expected}"
             )
         paths = normalize_multipartite(result.optimum.paths)
-        cover = Cover(tuple(paths), provenance=PROVENANCE_TABLE)
+        cover = Cover(tuple(paths))
         check(cover, graph, expected, f"multipartite {key}", strict=True)
         name = "multipartite_" + "-".join(str(s) for s in key) + ".cover"
         comments = [
