@@ -307,6 +307,27 @@ def test_solver_sweep_is_byte_stable():
     assert digest.hexdigest() == SOLVER_SWEEP_SHA256
 
 
+# SHA-256 of every solve of the sweep at its full budget, without the node
+# count: what a search must return, however many nodes it takes to prove it.
+SOLVER_OUTCOMES_SHA256 = (
+    "02c816ffbcbbeb1cdd27f3a5fdc73dc00e68af78a0382a530aa45f9bff1cbd81"
+)
+
+
+def test_solver_sweep_outcomes_at_full_budget():
+    """Size, proof flag, note and cover of each _sweep_graphs() solve."""
+    digest = hashlib.sha256()
+    for key, g, budget in _sweep_graphs():
+        result = solve_min_cover(g, budget)
+        assert result.proof_of_optimality, key
+        digest.update(
+            f"{key!r} size={result.size} proven={result.proof_of_optimality} "
+            f"note={result.optimum.note}\n".encode("ascii")
+        )
+        digest.update(format_cover(result.optimum).encode("ascii"))
+    assert digest.hexdigest() == SOLVER_OUTCOMES_SHA256
+
+
 def _plain_search(g, budget):
     """The branch and bound without the failed-subtree table, copied from
     solve_min_cover as it was before the table: the reference that the
