@@ -39,7 +39,7 @@ from .graph import (
     parse_graph,
     sorted_partitions,
 )
-from .solver import enumerate_isometric_paths, solve_min_cover
+from .solver import check_pool_order, enumerate_isometric_paths, solve_min_cover
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -232,6 +232,7 @@ def _cmd_solve(args):
 
 def _cmd_paths(args):
     g = parse_graph(_read_text(args.graph))
+    check_pool_order(g.n)
     pool = enumerate_isometric_paths(g, all_pairs_distances(g))
     if args.count_only:
         print(f"count={len(pool.paths)}")
@@ -258,6 +259,9 @@ def _selftest_instances(max_n):
 
 def _cmd_selftest(args):
     multi, hamming = _selftest_instances(args.max_n)
+    # the paper's exceptional family past the sweep: K2 x K2 x K_c, c odd,
+    # 7 <= c <= max_n + 1, where ip is one more than the counting bound
+    hamming += [(2, 2, c) for c in range(7, args.max_n + 2, 2)]
     passed = 0
     total = 0
     rows = []

@@ -14,9 +14,12 @@ from .graph import Graph, all_pairs_distances
 # Most path vertices, summed over the paths, that one path pool stores.
 POOL_CAP = 10**7
 DEFAULT_NODE_BUDGET = 10**8
-# Most entries the failed-subtree table of one solve holds; an entry takes
-# about 100 bytes, so a full table is about 200 MB.
+# Most entries the failed-subtree table of one solve holds; an entry, an int
+# key in a set, takes about 70 bytes, so a full table is about 150 MB.
 FAILED_TABLE_CAP = 1 << 21
+# Nodes a search tests before it derives its automorphism group and keys
+# the failed-subtree table by orbit; smaller searches never pay for it.
+ORBIT_KEY_AFTER = 10_000
 
 
 class PathPool(Record):
@@ -57,7 +60,7 @@ def enumerate_isometric_paths(g: Graph, d: list) -> PathPool:
     n = g.n
     if n == 0 or min(d[0]) < 0:
         raise DisconnectedGraphError("path enumeration needs a non-empty connected graph")
-    too_many = f"isometric path pool exceeds cap of {POOL_CAP} vertices"
+    too_many = _too_many()
     if n + n * (n - 1) // 2 + sum(map(sum, d)) // 2 > POOL_CAP:
         raise PoolBudgetError(too_many)
     stored = n
@@ -109,6 +112,21 @@ def _greedy_indices(pool: PathPool, n: int):
     return chosen
 
 
+def check_pool_order(n: int) -> None:
+    """Raise PoolBudgetError if an n-vertex graph's pool must exceed POOL_CAP.
+
+    A connected graph's pool stores at least n + sum over s < t of
+    (d(s, t) + 1) >= n^2 vertices, so n > isqrt(POOL_CAP) is rejected from n
+    alone, before the n^2 distances are built.
+    """
+    if n * n > POOL_CAP:
+        raise PoolBudgetError(_too_many())
+
+
+def _too_many():
+    return f"isometric path pool exceeds cap of {POOL_CAP} vertices"
+
+
 def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     """Minimum isometric path cover by branch-and-bound over the path pool.
 
@@ -117,25 +135,32 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     its lowest-index uncovered vertex, trying the pool paths through it in
     canonical order, and tests each child before descending: a child that
     covers every vertex becomes the incumbent, a child whose bound size +
-    ceil(uncovered / max-path-size) does not beat the incumbent is cut, and
-    only the rest are opened.  ``nodes_explored`` counts the root and every
-    child tested, whether it completed the cover, was cut or was opened.
-    A subtree in which no cover was completed is recorded in a table, and a
-    later node with the same covered vertices and the same slack (limit -
-    depth) adds the recorded count instead of searching it again; so
-    ``nodes_explored`` is the node count of the plain search, replayed
-    subtrees included, and the budget limits that count.  The table keeps
-    at most FAILED_TABLE_CAP entries; past that, subtrees are searched
-    again, which changes the time taken but not the result.
+    ceil(uncovered / max-path-size) does not beat the incumbent is cut, a
+    child the failed-subtree table rules out is skipped, and only the rest
+    are opened.  ``nodes_explored`` counts the nodes searched: the root and
+    every child tested, whether it completed the cover, was cut, was
+    skipped or was opened; the budget limits that count.
+    A subtree in which no cover was completed is recorded in the table by
+    the orbit of its covered vertex set under a group of automorphisms of g
+    (``symmetry.orbit_key``) and its slack (limit - depth), and a later node
+    with the same pair is skipped: no cover completes below it either.  The
+    group is derived once the search has tested ORBIT_KEY_AFTER nodes; until
+    then, and on a graph where no symmetry is found, a set is its own key.
+    The table keeps at most FAILED_TABLE_CAP entries; past that, subtrees
+    are searched again, which changes the time taken but not the result.
     The result is deterministic: the optimum returned comes from the first
     node, in canonical search order, with a complete child of optimum size,
-    and is that node's last such child.  When a node would exceed the
-    budget the search stops, and the best incumbent is returned with
-    proof_of_optimality False.
+    and is that node's last such child.  Since a skipped subtree holds no
+    completion, the sequence of completions, and so a full search's size,
+    cover and proof, are those of the search without the table.  When a node
+    would exceed the budget the search stops, and the best incumbent is
+    returned with proof_of_optimality False.
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-    pool = enumerate_isometric_paths(g, all_pairs_distances(g))
+    check_pool_order(g.n)
+    d = all_pairs_distances(g)
+    pool = enumerate_isometric_paths(g, d)
     n = g.n
     full = (1 << n) - 1
     masks = pool.masks
@@ -159,6 +184,7 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     # are explored, so the search, not the greedy seed, picks the optimum.
     limit = len(greedy) + 1
     best = greedy
+    improved = False
     # The root covers nothing and is never cut, since ceil(n / max_len) <=
     # optimum <= len(greedy); it branches on vertex 0.
     nodes = 1
@@ -167,66 +193,78 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     # search reads only its covered mask and its slack limit - depth: the
     # children come from candidates[lowest uncovered vertex of covered],
     # the cut is k < n - (limit - depth - 1) * max_len, and chosen and best
-    # are written but never read.  So a subtree in which no cover was
-    # completed is searched the same way, node for node and again without a
-    # completion, wherever the same covered mask recurs at the same slack.
-    # failed maps covered | slack << n to the nodes counted below such a
-    # node; a hit adds them instead of searching the subtree again.  A full
-    # table takes no more entries: a replay is exact, so this costs time only.
-    failed = {}
+    # are written but never read.  It completes a cover iff some set of
+    # fewer than slack pool paths covers the rest, and an automorphism of g
+    # maps pool paths to pool paths.  So a subtree in which no cover was
+    # completed has none wherever an image of its covered mask recurs at
+    # the same slack.  failed holds canon(covered) | slack << shift for
+    # such nodes, canon being the identity until the group is derived.
+    failed = set()
     failed_cap = FAILED_TABLE_CAP
-    completions = 0
-    # open nodes: (covered, depth, iterator over the untried candidates,
-    # nodes and completions when it was opened); chosen[:depth] holds the
-    # paths of the open node on top of the stack
-    stack = [] if exhausted else [(0, 0, iter(candidates[0]), nodes, 0)]
+    canon = None
+    shift = n
+    # the group is derived when the node count passes stop, or never
+    stop = min(budget, ORBIT_KEY_AFTER)
+    # open nodes: (covered, depth, iterator over the untried candidates);
+    # chosen[:depth] holds the paths of the open node on top of the stack,
+    # and the nodes below stack index done have a completed cover below them
+    stack = [] if exhausted else [(0, 0, iter(candidates[0]))]
     chosen = [0] * n
+    done = 0
     while stack:
-        covered, depth, children, _, _ = stack[-1]
+        covered, depth, children = stack[-1]
         depth += 1  # of the children
         # A child at this depth covering k vertices is cut iff
         # depth + ceil((n - k) / max_len) >= limit, that is iff k < need.
         need = n - (limit - depth - 1) * max_len
-        slack_key = (limit - depth) << n
+        slack_key = (limit - depth) << shift
         for i, mask in children:
             child = covered | mask
             nodes += 1
-            if nodes > budget:
-                exhausted = True
-                stack.clear()
-                break
-            if child == full:
-                chosen[depth - 1] = i
-                best = chosen[:depth]
-                completions += 1
-                limit = depth
-                need = n - (limit - depth - 1) * max_len
-                slack_key = (limit - depth) << n
-                continue
-            if child.bit_count() < need:
-                continue
-            below = failed.get(child | slack_key)
-            if below is not None:
-                nodes += below
+            if nodes > stop:
                 if nodes > budget:
-                    # the plain search would stop inside this subtree
-                    nodes = budget + 1
                     exhausted = True
                     stack.clear()
                     break
+                stop = budget
+                # imported here: only searches this long use it
+                from .symmetry import orbit_key
+
+                found = orbit_key(g, d)
+                if found is not None:
+                    # entries keyed by exact masks are dropped, which costs
+                    # less than keying them again
+                    canon, shift = found
+                    failed = set()
+                    slack_key = (limit - depth) << shift
+            if child == full:
+                chosen[depth - 1] = i
+                best = chosen[:depth]
+                improved = True
+                done = len(stack)
+                limit = depth
+                need = n - (limit - depth - 1) * max_len
+                slack_key = (limit - depth) << shift
+                continue
+            if child.bit_count() < need:
+                continue
+            if (child if canon is None else canon(child)) | slack_key in failed:
                 continue
             chosen[depth - 1] = i
             # branch on the lowest uncovered vertex: the lowest 0 bit of child
             v = (~child & (child + 1)).bit_length() - 1
-            stack.append((child, depth, iter(candidates[v]), nodes, completions))
+            stack.append((child, depth, iter(candidates[v])))
             break
         else:
-            covered, depth, _, opened, completed = stack.pop()
-            if completed == completions and len(failed) < failed_cap:
-                failed[covered | (limit - depth) << n] = nodes - opened
+            covered, depth, _ = stack.pop()
+            if len(stack) < done:
+                done = len(stack)
+            elif len(failed) < failed_cap:
+                key = covered if canon is None else canon(covered)
+                failed.add(key | (limit - depth) << shift)
 
     note = "branch-and-bound optimum" if not exhausted else "budget-truncated incumbent"
-    if not completions and exhausted:
+    if not improved and exhausted:
         note = "greedy incumbent (budget exhausted)"
     cover = Cover(tuple(pool.paths[i] for i in best), note=note)
     return SolveResult(
@@ -235,3 +273,4 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
         nodes_explored=nodes,
         proof_of_optimality=not exhausted,
     )
+

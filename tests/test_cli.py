@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -279,6 +280,30 @@ class TestPoolInputs:
         assert code == 1
         assert out == ""
         assert err == "error: isometric path pool exceeds cap of 10000000 vertices\n"
+
+    # n > isqrt(POOL_CAP) = 3,162 is rejected from n alone, before the n^2
+    # distances (80 MB of list slots at n = 3,163, 80 GB at n = 10^5); what
+    # is left is the parse, about 48 MB of adjacency at n = 10^5
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("n, peak_mb", [(3_163, 8), (100_000, 64)])
+    def test_a_graph_past_the_root_of_the_cap_exits_1_before_its_distances(
+        self, capsys, tmp_path, command, n, peak_mb
+    ):
+        g = tmp_path / "g.txt"
+        g.write_text(
+            f"p {n} {n - 1}\n" + "".join(f"e {v} {v + 1}\n" for v in range(n - 1)),
+            encoding="ascii",
+        )
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, command[0], "-g", str(g), *command[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err == "error: isometric path pool exceeds cap of 10000000 vertices\n"
+        assert peak < peak_mb * 10**6
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     @pytest.mark.parametrize(

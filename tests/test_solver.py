@@ -1,7 +1,11 @@
 """Path pool enumeration and the branch-and-bound oracle."""
 
 import hashlib
+import math
+import random
 from unittest import mock
+
+import networkx as nx
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,14 +20,16 @@ from isopath import (
     all_pairs_distances,
     enumerate_isometric_paths,
     format_cover,
+    ip_hamming3,
     ip_multipartite,
     make_augmented_multipartite,
     make_complete_multipartite,
     make_hamming,
+    parse_graph,
     solve_min_cover,
     verify_cover,
 )
-from isopath import solver
+from isopath import solver, symmetry
 from isopath.cli import _selftest_instances
 from isopath.formulas import ceil_div
 from isopath.solver import _greedy_indices
@@ -102,6 +108,16 @@ class TestEnumeration:
             pytest.raises(PoolBudgetError),
         ):
             pool_of(g)
+
+    def test_pool_order_check(self):
+        # a connected graph's pool stores at least n^2 vertices
+        solver.check_pool_order(3_162)
+        with pytest.raises(PoolBudgetError, match="exceeds cap of 10000000 vertices"):
+            solver.check_pool_order(3_163)
+        with mock.patch.object(solver, "POOL_CAP", 9):
+            solver.check_pool_order(3)
+            with pytest.raises(PoolBudgetError, match="exceeds cap of 9 vertices"):
+                solver.check_pool_order(4)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=7), st.data())
@@ -197,7 +213,7 @@ class TestSolve:
     @pytest.mark.parametrize(
         "g, full",
         [
-            (make_hamming(HammingSpec((2, 2, 3))), 8988),
+            (make_hamming(HammingSpec((2, 2, 3))), 6107),
             (make_complete_multipartite(PartiteSpec((2, 2))), 11),
             (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 11),
         ],
@@ -278,7 +294,7 @@ def _sweep_graphs():
 # SHA-256 of the solver sweep below; any change to a size, node count, proof
 # flag, note or returned cover changes it.
 SOLVER_SWEEP_SHA256 = (
-    "69bc3292c38f4b566a2806b5beecb0d62b34c3658bcd442b13e5e0b2d4cef0b9"
+    "d777e02bb2c452bc218ad8a022634b9d21ced43e15a103fa5f691342b5358860"
 )
 
 
@@ -401,37 +417,203 @@ def connected_graphs(draw):
     return Graph(n, sorted(edges))
 
 
-@settings(max_examples=120, deadline=None)
-@given(connected_graphs(), st.data())
-def test_the_table_replays_the_plain_search_exactly(g, data):
-    def outcome(result):
-        return (
-            result.size,
-            result.nodes_explored,
-            result.proof_of_optimality,
-            result.optimum.note,
-            tuple(p.vertices for p in result.optimum.paths),
-        )
+@st.composite
+def multipartite_graphs(draw):
+    """A random complete multipartite graph on 2-14 vertices, or its
+    augmented form under a random pairing of each part."""
+    sizes = draw(
+        st.lists(st.integers(1, 6), min_size=2, max_size=6).filter(lambda s: sum(s) <= 14)
+    )
+    spec = PartiteSpec(sizes)
+    if draw(st.booleans()):
+        return make_complete_multipartite(spec)
+    pairings = []
+    for size in spec.sizes:
+        order = draw(st.permutations(range(size)))
+        pairings.append([order[k:k + 2] for k in range(0, size - 1, 2)])
+    return make_augmented_multipartite(spec, pairings)
 
+
+# Hamming graphs of two or three factors on at most 16 vertices
+SMALL_HAMMING = tuple(
+    factors
+    for factors in [(a, b) for a in range(2, 9) for b in range(a, 9)]
+    + [(a, b, c) for a in range(2, 5) for b in range(a, 5) for c in range(b, 9)]
+    if math.prod(factors) <= 16
+)
+
+
+def relabelled(g, perm):
+    """g with vertex v renamed perm[v], as a parsed graph would store it."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@st.composite
+def relabelled_hamming_graphs(draw):
+    g = make_hamming(HammingSpec(draw(st.sampled_from(SMALL_HAMMING))))
+    return relabelled(g, draw(st.permutations(range(g.n))))
+
+
+def _outcome(result):
+    return (
+        result.size,
+        result.proof_of_optimality,
+        result.optimum.note,
+        tuple(p.vertices for p in result.optimum.paths),
+    )
+
+
+def _assert_plain_outcome(g, data):
+    """A full search returns the plain loop's size, proof and cover, whether
+    the group is derived at once, part way or (usually) never, and whether
+    the table is full from the start, part way or never.  Below the full
+    count, a budget stops the search after budget + 1 nodes with a valid
+    cover and no proof."""
+    size, _, proven, note, paths = _plain_search(g, 10**9)
+    assert proven
+    want = (size, proven, note, paths)
     full = solve_min_cover(g).nodes_explored
-    drawn = data.draw(st.integers(min_value=0, max_value=full + 1))
-    for budget in dict.fromkeys((0, 1, 2, full - 1, full, full + 1, drawn)):
-        plain = _plain_search(g, budget)
-        assert outcome(solve_min_cover(g, budget)) == plain, budget
-        # a table that is full, from the start or part way, records no more
-        for cap in (0, 64):
-            with mock.patch.object(solver, "FAILED_TABLE_CAP", cap):
-                assert outcome(solve_min_cover(g, budget)) == plain, (budget, cap)
+    part_way = data.draw(st.integers(min_value=1, max_value=full))
+    for after in (solver.ORBIT_KEY_AFTER, 0, part_way):
+        with mock.patch.object(solver, "ORBIT_KEY_AFTER", after):
+            for cap in (solver.FAILED_TABLE_CAP, 0, 64):
+                with mock.patch.object(solver, "FAILED_TABLE_CAP", cap):
+                    assert _outcome(solve_min_cover(g)) == want, (after, cap)
+            searched = solve_min_cover(g).nodes_explored
+            drawn = data.draw(st.integers(min_value=0, max_value=searched + 1))
+            for budget in dict.fromkeys((0, 1, 2, searched - 1, searched, drawn)):
+                result = solve_min_cover(g, budget)
+                assert result.nodes_explored == min(budget + 1, searched), (after, budget)
+                assert result.proof_of_optimality == (budget >= searched), (after, budget)
+                assert verify_cover(g, result.optimum).valid, (after, budget)
+                if result.proof_of_optimality:
+                    assert _outcome(result) == want, (after, budget)
 
 
-def test_k3_1x13_is_proven_past_the_default_budget():
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(connected_graphs(), multipartite_graphs(), relabelled_hamming_graphs()),
+    st.data(),
+)
+def test_the_table_replays_the_plain_search_exactly(g, data):
+    _assert_plain_outcome(g, data)
+
+
+def rewired(g, old, new):
+    """g with the edge ``old`` replaced by the non-edge ``new``."""
+    assert g.has_edge(*old) and not g.has_edge(*new)
+    return Graph(g.n, [e for e in g.edges() if e != old] + [new])
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_a_rewired_hamming_graph_is_not_recognised(data):
+    # K2 x K2 x K4 under a fixed relabelling, then the edge 1-8 moved to
+    # 1-2: the same n and m, the same lines through vertex 0, and distinct
+    # coordinates read from the distances, so only the check of every edge
+    # against the coordinates can tell that it is not a Hamming graph
+    g = make_hamming(HammingSpec((2, 2, 4)))
+    g = relabelled(g, random.Random(16).sample(range(g.n), g.n))
+    assert sorted(symmetry._hamming_coordinates(g, all_pairs_distances(g))[0]) == [2, 2, 4]
+    h = rewired(g, (1, 8), (1, 2))
+    assert (h.n, h.m) == (g.n, g.m)
+    assert symmetry._hamming_coordinates(h, all_pairs_distances(h)) is None
+    _assert_plain_outcome(h, data)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_twin_classes_that_cannot_swap_keep_their_counts_apart(data):
+    # augmented K_{4,2} is K6 minus the matching 01, 23, 45: three classes
+    # of open twins, any two of which may swap.  Joining a vertex 6 to 0 and
+    # 1 only leaves the classes {2, 3} and {4, 5} free to swap.
+    g = make_augmented_multipartite(PartiteSpec((4, 2)), [[(0, 1), (2, 3)], [(0, 1)]])
+    canon, _ = symmetry.orbit_key(g, all_pairs_distances(g))
+    assert canon(0b000001) == canon(0b000100) == canon(0b100000)
+    assert canon(0b000011) == canon(0b001100) != canon(0b000101)
+    h = Graph(7, list(g.edges()) + [(0, 6), (1, 6)])
+    canon, _ = symmetry.orbit_key(h, all_pairs_distances(h))
+    assert canon(0b000001) == canon(0b000010)
+    assert canon(0b000100) == canon(0b001000) == canon(0b010000) == canon(0b100000)
+    assert canon(0b000001) != canon(0b000100)
+    assert canon(0b000111) != canon(0b011100)
+    _assert_plain_outcome(h, data)
+
+
+def _same_orbit(g, a, b):
+    """Whether an automorphism of g maps the vertex set a onto b (networkx)."""
+    marked = []
+    for mask in (a, b):
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        nx.set_node_attributes(h, {v: mask >> v & 1 for v in range(g.n)}, "in")
+        marked.append(h)
+    return nx.is_isomorphic(*marked, node_match=lambda x, y: x["in"] == y["in"])
+
+
+ORBIT_GRAPHS = {
+    "K2xK2xK2": relabelled(make_hamming(HammingSpec((2, 2, 2))), (5, 2, 7, 0, 3, 6, 1, 4)),
+    "K3xK3": relabelled(make_hamming(HammingSpec((3, 3))), (4, 8, 0, 6, 2, 7, 1, 3, 5)),
+    "K2xK4": make_hamming(HammingSpec((2, 4))),
+    "K3,3,2": make_complete_multipartite(PartiteSpec((3, 3, 2))),
+    "K3,1,1,1,1": make_complete_multipartite(PartiteSpec((3, 1, 1, 1, 1))),
+    "augmented K4,3": make_augmented_multipartite(
+        PartiteSpec((4, 3)), [[(0, 2), (1, 3)], [(0, 1)]]
+    ),
+    "C4 with a tail": Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_GRAPHS)
+def test_one_key_means_one_orbit(name):
+    # the key is sound: two vertex sets with one key are automorphic images
+    # of each other, so a failed subtree stands for every set of its key
+    g = ORBIT_GRAPHS[name]
+    canon, width = symmetry.orbit_key(g, all_pairs_distances(g))
+    classes = {}
+    for mask in range(1 << g.n):
+        key = canon(mask)
+        assert 0 <= key < 1 << width
+        classes.setdefault(key, []).append(mask)
+    assert len(classes) < 1 << g.n
+    for first, *rest in classes.values():
+        for mask in rest:
+            assert _same_orbit(g, first, mask), (first, mask)
+
+
+def test_a_graph_without_twins_or_axes_has_no_key():
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+    assert symmetry.orbit_key(g, all_pairs_distances(g)) is None
+
+
+def test_k3_1x13_is_proven_at_the_default_budget():
     # the many-odd case of the multipartite formula at 16 vertices: the
-    # plain search takes about 22 s CPU to reach the same count
+    # plain search takes 117,306,667 nodes, about 22 s CPU
     g = make_complete_multipartite(PartiteSpec((3,) + (1,) * 13))
-    result = solve_min_cover(g, 2 * 10**8)
+    result = solve_min_cover(g)
     assert (result.size, result.nodes_explored, result.proof_of_optimality) == (
         8,
-        117_306_667,
+        10_414,
         True,
     )
     assert ip_multipartite(PartiteSpec((3,) + (1,) * 13)).value == 8
+
+
+def hamming_file(factors, seed):
+    """The graph text of a Hamming graph under a seeded relabelling."""
+    g = make_hamming(HammingSpec(factors))
+    perm = random.Random(seed).sample(range(g.n), g.n)
+    edges = sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges())
+    return f"p {g.n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+
+
+@pytest.mark.parametrize("c", [7, 9, 11])
+def test_the_exceptional_family_is_proven_from_a_parsed_file(c):
+    # K2 x K2 x K_c, c odd, needs n/4 + 1 paths, one more than the counting
+    # bound; parsed from a relabelled file, the solver finds the Hamming
+    # axes without a spec and proves it at the default budget
+    g = parse_graph(hamming_file((2, 2, c), 0))
+    result = solve_min_cover(g)
+    assert result.proof_of_optimality
+    assert result.size == g.n // 4 + 1 == ip_hamming3(2, 2, c).value
+    assert verify_cover(g, result.optimum).valid
