@@ -6,7 +6,6 @@ import random
 from unittest import mock
 
 import networkx as nx
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -346,8 +345,8 @@ def test_solver_sweep_outcomes_at_full_budget():
 
 def _plain_search(g, budget):
     """The branch and bound without the failed-subtree table, copied from
-    solve_min_cover as it was before the table: the reference that the
-    table must reproduce exactly.  Returns (size, nodes_explored,
+    solve_min_cover as it was before the table: the reference for the size,
+    proof, note and cover of a full search.  Returns (size, nodes_explored,
     proof_of_optimality, note, path tuples)."""
     pool = pool_of(g)
     n = g.n
