@@ -273,4 +273,3 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
         nodes_explored=nodes,
         proof_of_optimality=not exhausted,
     )
-
