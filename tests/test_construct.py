@@ -28,6 +28,13 @@ from isopath.graph import decode_coordinates
 from conftest import sorted_partitions
 
 
+# SHA-256 of the loaded base-cover table below; any change to a stored
+# key, path, path order or note changes it.
+BASE_TABLE_SHA256 = (
+    "e58dcfa045b3bf6b763a36ef5ff805d0bf6594804d5bb9e02e2de252bcbb74ac"
+)
+
+
 class TestBaseCoverTable:
     def test_lookup_counts(self):
         assert len(base_cover_lookup("hamming3", (2, 3, 3)).paths) == 5
@@ -74,6 +81,17 @@ class TestBaseCoverTable:
         }
         assert stored == balanced
         assert len(stored) == 24
+
+    def test_table_is_byte_stable(self):
+        """Every (family, key) in order, its paths' vertex tuples in order,
+        then its note."""
+        digest = hashlib.sha256()
+        for (family, key), cover in sorted(base_cover_table().items()):
+            digest.update(f"{family} {','.join(map(str, key))}\n".encode("ascii"))
+            for p in cover.paths:
+                digest.update((" ".join(map(str, p.vertices)) + "\n").encode("ascii"))
+            digest.update(f"# {cover.note}\n".encode("ascii"))
+        assert digest.hexdigest() == BASE_TABLE_SHA256
 
     def test_lookup_returns_the_stored_cover(self):
         # covers are immutable, so the table's entry is handed out as it is
@@ -253,3 +271,26 @@ def test_hamming_sweep_is_byte_stable():
             continue
         digest.update(format_cover(cover, comments=(cover.note,)).encode("ascii"))
     assert digest.hexdigest() == HAMMING_SWEEP_SHA256
+
+
+# SHA-256 of the multipartite sweep below; any change to a constructed cover,
+# its path order or its note changes it.
+MULTIPARTITE_SWEEP_SHA256 = (
+    "76e2357457dcb26696bce8525d7cbd3929380e873949efd7257397eacc0188ca"
+)
+
+
+def test_multipartite_sweep_is_byte_stable():
+    """Every part-size vector with n <= 16: the spec line, then the cover
+    text with its note as a comment, or the exception type for a spec that
+    raises."""
+    digest = hashlib.sha256()
+    for sizes in sorted_partitions(16):
+        digest.update((",".join(map(str, sizes)) + "\n").encode("ascii"))
+        try:
+            cover = cover_multipartite(PartiteSpec(sizes))
+        except Exception as exc:
+            digest.update(f"raises {type(exc).__name__}\n".encode("ascii"))
+            continue
+        digest.update(format_cover(cover, comments=(cover.note,)).encode("ascii"))
+    assert digest.hexdigest() == MULTIPARTITE_SWEEP_SHA256
