@@ -21,9 +21,7 @@ from .cover import (
     PathVerdict,
     VerifyReport,
     format_cover,
-    format_cover_labeled,
     parse_cover,
-    parse_cover_labeled,
     verify_cover,
 )
 from .errors import (

@@ -2,16 +2,17 @@
 
 Covers live in the ``fixtures`` directory beside this module, one file
 per key named ``<family>_<sizes>.cover`` (multipartite keys sorted
-non-increasing, Hamming keys non-decreasing).  Multipartite entries were
-produced by the exact solver and frozen; Hamming entries are hand-entered
-tables in the labeled coordinate format.  Every entry is re-verified against its graph
-at load time: it must be a valid cover of exactly the closed-form size.
-Fixtures are never regenerated at runtime (see tools/make_fixtures.py).
+non-increasing, Hamming keys non-decreasing), all in the plain cover text
+format.  Multipartite entries were produced by the exact solver and
+frozen; Hamming entries are hand-entered coordinate tables kept in
+tools/make_fixtures.py, written out as vertex indices.  Every entry is
+re-verified against its graph at load time: it must be a valid cover of
+exactly the closed-form size.  Fixtures are never regenerated at runtime.
 """
 
 import os
 
-from .cover import Cover, parse_cover, parse_cover_labeled, verify_cover
+from .cover import Cover, parse_cover, verify_cover
 from .errors import ConstructionError, UnknownCoverKeyError
 from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
 from .graph import HammingSpec, PartiteSpec, make_complete_multipartite, make_hamming
@@ -38,12 +39,9 @@ def _verify_entry(family, key, cover):
     if family == FAMILY_MULTIPARTITE:
         graph = make_complete_multipartite(PartiteSpec(key))
         expected = ip_multipartite(PartiteSpec(key)).value
-    elif family == FAMILY_HAMMING2:
-        graph = make_hamming(HammingSpec(key))
-        expected = ip_hamming2(*key).value
     else:
         graph = make_hamming(HammingSpec(key))
-        expected = ip_hamming3(*key).value
+        expected = (ip_hamming2 if family == FAMILY_HAMMING2 else ip_hamming3)(*key).value
     report = verify_cover(graph, cover)
     if not report.valid:
         raise ConstructionError(
@@ -64,15 +62,11 @@ def _load_table():
     for name in names:
         stem = name[: -len(".cover")]
         family, _, size_part = stem.partition("_")
+        if family not in (FAMILY_MULTIPARTITE, FAMILY_HAMMING2, FAMILY_HAMMING3):
+            raise ConstructionError(f"unknown fixture family in {name!r}")
         key = tuple(int(tok) for tok in size_part.split("-"))
         with open(os.path.join(_FIXTURES, name), encoding="ascii") as handle:
-            text = handle.read()
-        if family == FAMILY_MULTIPARTITE:
-            cover = parse_cover(text)
-        elif family in (FAMILY_HAMMING2, FAMILY_HAMMING3):
-            cover = parse_cover_labeled(text, HammingSpec(key))
-        else:
-            raise ConstructionError(f"unknown fixture family in {name!r}")
+            cover = parse_cover(handle.read())
         if key != canonical_key(family, key):
             raise ConstructionError(f"fixture {name!r} key is not canonical")
         _verify_entry(family, key, cover)

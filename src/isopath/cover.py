@@ -1,14 +1,8 @@
-"""Path/cover data model, certificate verification, and text formats."""
+"""Path/cover data model, certificate verification, and the cover text format."""
 
 from ._record import Record
-from .errors import FormatError, OutOfRangeError
-from .graph import (
-    Graph,
-    HammingSpec,
-    decode_coordinates,
-    encode_coordinates,
-    format_coordinates,
-)
+from .errors import FormatError
+from .graph import Graph
 
 
 class Path(Record):
@@ -157,9 +151,11 @@ def format_cover(c: Cover, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _path_lines(text, comments):
-    """Yield (line number, stripped line) for each path line of a cover file;
-    blank lines are skipped and ``#`` comments are appended to ``comments``."""
+def parse_cover(text: str) -> Cover:
+    """Parse the cover text format; blank lines are skipped and ``#`` lines
+    are collected into the note."""
+    paths = []
+    comments = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -167,47 +163,9 @@ def _path_lines(text, comments):
         if line.startswith("#"):
             comments.append(line[1:].strip())
             continue
-        yield lineno, line
-
-
-def parse_cover(text: str) -> Cover:
-    """Parse the cover text format; ``#`` lines are collected into the note."""
-    paths = []
-    comments = []
-    for lineno, line in _path_lines(text, comments):
         try:
             vertices = tuple(map(int, line.split()))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad vertex index") from exc
         paths.append(Path(vertices))
-    return Cover(tuple(paths), note="; ".join(comments))
-
-
-def format_cover_labeled(c: Cover, spec: HammingSpec, comments=()) -> str:
-    """Labeled sibling format for Hamming graphs: coordinate tuples per vertex."""
-    lines = [f"# {comment}" for comment in comments]
-    for p in c.paths:
-        coords = (format_coordinates(decode_coordinates(spec, v)) for v in p.vertices)
-        lines.append(" ".join(coords))
-    return "\n".join(lines) + "\n"
-
-
-def parse_cover_labeled(text: str, spec: HammingSpec) -> Cover:
-    """Parse the labeled format back to vertex indices via encode_coordinates."""
-    paths = []
-    comments = []
-    for lineno, line in _path_lines(text, comments):
-        vertices = []
-        for token in line.split():
-            if not (token.startswith("(") and token.endswith(")")):
-                raise FormatError(f"line {lineno}: expected coordinate tuple, got {token!r}")
-            try:
-                coords = tuple(int(x) for x in token[1:-1].split(","))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad coordinate in {token!r}") from exc
-            try:
-                vertices.append(encode_coordinates(spec, coords))
-            except OutOfRangeError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-        paths.append(Path(tuple(vertices)))
     return Cover(tuple(paths), note="; ".join(comments))

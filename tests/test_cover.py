@@ -1,4 +1,4 @@
-"""Path/cover model, verification semantics, and cover text formats."""
+"""Path/cover model, verification semantics, and the cover text format."""
 
 import random
 
@@ -15,11 +15,9 @@ from isopath import (
     Path,
     encode_coordinates,
     format_cover,
-    format_cover_labeled,
     make_complete_multipartite,
     make_hamming,
     parse_cover,
-    parse_cover_labeled,
     verify_cover,
 )
 
@@ -197,17 +195,3 @@ class TestCoverTextFormat:
         text = format_cover(Cover((Path((0, 1)),)), comments=["k: v"])
         assert text == "# k: v\n0 1\n"
 
-
-class TestLabeledCoverFormat:
-    def test_round_trip_via_coordinates(self):
-        c = cover_222()
-        text = format_cover_labeled(c, SPEC_222)
-        assert text.splitlines()[0] == "(0,0,0) (0,0,1) (0,1,1) (1,1,1)"
-        back = parse_cover_labeled(text, SPEC_222)
-        assert [p.vertices for p in back.paths] == [p.vertices for p in c.paths]
-
-    def test_rejects_bad_tuples(self):
-        with pytest.raises(FormatError):
-            parse_cover_labeled("(0,0) (0,2)\n", HammingSpec((2, 2)))
-        with pytest.raises(FormatError):
-            parse_cover_labeled("0 1\n", HammingSpec((2, 2)))

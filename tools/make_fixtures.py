@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
 """Regenerate the base-cover fixture files under src/isopath/fixtures/.
 
-Hamming entries are hand-entered coordinate tables (the starred 2x3x3
-variant and the larger composites are expanded here before writing).
-Multipartite entries are produced by the exact solver and normalized so
-that no two 3-vertex paths share an end vertex.  Every file is verified
-(validity plus closed-form size) before it is written; a failing entry
-aborts the run so a bad table can never be frozen.
+Hamming entries are hand-entered coordinate tables, kept here as the
+human-readable source (the starred 2x3x3 variant and the larger composites
+are expanded here before writing); they are written as vertex indices in
+the plain cover text format, like every fixture.  Multipartite entries are
+produced by the exact solver and normalized so that no two 3-vertex paths
+share an end vertex.  Every file is verified (validity plus closed-form
+size) before it is written; a failing entry aborts the run so a bad table
+can never be frozen.
 
-Run from the repository root after an editable install:
+Run from the repository root after an editable install, or with the
+source tree on the path:
 
     python tools/make_fixtures.py
+    PYTHONPATH=src python tools/make_fixtures.py
 """
 
 import sys
 from pathlib import Path as FsPath
 
-from isopath.cover import Cover, Path, format_cover, format_cover_labeled, verify_cover
+from isopath.cover import Cover, Path, format_cover, verify_cover
 from isopath.formulas import ip_hamming2, ip_hamming3, ip_multipartite
 from isopath.graph import (
     HammingSpec,
@@ -257,38 +261,25 @@ def check(cover, graph, expected, name, strict=False):
 
 
 def write_hamming_fixtures():
-    for key, table in H2_TABLES.items():
+    tables = [(key, table, []) for key, table in H2_TABLES.items()]
+    tables += [(key, table, extra) for key, (table, extra) in H3_TABLES.items()]
+    for key, table, extra in tables:
+        family = f"hamming{len(key)}"
+        closed_form = ip_hamming2 if len(key) == 2 else ip_hamming3
         spec = HammingSpec(key)
         paths = tuple(
             Path(tuple(encode_coordinates(spec, v) for v in p)) for p in table
         )
         cover = Cover(paths)
-        check(cover, make_hamming(spec), ip_hamming2(*key).value, f"hamming2 {key}")
-        name = "hamming2_" + "-".join(str(s) for s in key) + ".cover"
+        check(cover, make_hamming(spec), closed_form(*key).value, f"{family} {key}")
+        name = f"{family}_" + "-".join(str(s) for s in key) + ".cover"
         comments = [
-            "family: hamming2",
-            f"key: {','.join(str(s) for s in key)}",
-            f"paths: {len(paths)}",
-            "source: built-in base table, entered by hand",
-        ]
-        text = format_cover_labeled(cover, spec, comments=comments)
-        (FIXTURE_DIR / name).write_text(text, encoding="ascii")
-        print(f"wrote {name} ({len(paths)} paths)")
-    for key, (table, extra) in H3_TABLES.items():
-        spec = HammingSpec(key)
-        paths = tuple(
-            Path(tuple(encode_coordinates(spec, v) for v in p)) for p in table
-        )
-        cover = Cover(paths)
-        check(cover, make_hamming(spec), ip_hamming3(*key).value, f"hamming3 {key}")
-        name = "hamming3_" + "-".join(str(s) for s in key) + ".cover"
-        comments = [
-            "family: hamming3",
+            f"family: {family}",
             f"key: {','.join(str(s) for s in key)}",
             f"paths: {len(paths)}",
             "source: built-in base table, entered by hand",
         ] + extra
-        text = format_cover_labeled(cover, spec, comments=comments)
+        text = format_cover(cover, comments=comments)
         (FIXTURE_DIR / name).write_text(text, encoding="ascii")
         print(f"wrote {name} ({len(paths)} paths)")
 
