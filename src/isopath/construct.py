@@ -103,11 +103,7 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
             if n - n1 == 1:
                 _emit_dominant_base(remaining, ranked, paths)
                 break
-            big = remaining[ranked[0][1]]
-            a1, a2 = big[0], big[1]
-            del big[:2]
-            donor = remaining[ranked[1][1]]
-            paths.append(Path((a1, donor.pop(0), a2)))
+            donor = ranked[1][1]
         elif case == "MANY_ODD":
             if n == alpha:
                 _emit_complete_base(remaining, paths)
@@ -122,11 +118,7 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
             ]
             if not odd_parts:
                 raise ConstructionError(f"no odd donor part at sizes {sizes_now}")
-            big = remaining[ranked[0][1]]
-            a1, a2 = big[0], big[1]
-            del big[:2]
-            donor = remaining[min(odd_parts)]
-            paths.append(Path((a1, donor.pop(0), a2)))
+            donor = min(odd_parts)
         else:  # BALANCED
             if n <= 8:
                 _emit_table_base(remaining, ranked, paths)
@@ -134,12 +126,12 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
             odd_ranks = [
                 k for k in range(1, len(ranked)) if ranked[k][0] % 2 == 1
             ]
-            j = max(odd_ranks) if odd_ranks else len(ranked) - 1
-            big = remaining[ranked[0][1]]
-            a1, a2 = big[0], big[1]
-            del big[:2]
-            donor = remaining[ranked[j][1]]
-            paths.append(Path((a1, donor.pop(0), a2)))
+            donor = ranked[max(odd_ranks) if odd_ranks else len(ranked) - 1][1]
+        # peel two vertices of the largest part through one donor vertex
+        big = remaining[ranked[0][1]]
+        a1, a2 = big[:2]
+        del big[:2]
+        paths.append(Path((a1, remaining[donor].pop(0), a2)))
     if len(paths) != expected:
         raise ConstructionError(
             f"built {len(paths)} paths for sizes {spec.sizes}, formula says {expected}"
