@@ -352,24 +352,23 @@ def _validate_pairings(spec: PartiteSpec, pairings):
 
 def make_augmented_multipartite(spec: PartiteSpec, pairings) -> Graph:
     """Complete multipartite graph plus all intra-part edges except the
-    designated pairs, i.e. each part becomes a clique minus a near-perfect
-    matching.  ``pairings[i]`` uses 0-based offsets local to part i.
+    designated pairs, i.e. K_n minus the designated pairs: each part becomes
+    a clique minus a near-perfect matching.  ``pairings[i]`` uses 0-based
+    offsets local to part i.
     """
     pairings = _validate_pairings(spec, pairings)
-    # every pair of vertices but the designated ones is an edge
     n = spec.n
     _check_size(n, n * (n - 1) // 2 - sum(s // 2 for s in spec.sizes))
-    base = make_complete_multipartite(spec)
-    offsets = spec.part_offsets()
-    edges = list(base.edges())
-    for i, size in enumerate(spec.sizes):
-        off = offsets[i]
-        excluded = set(pairings[i])
-        for a in range(size):
-            for b in range(a + 1, size):
-                if (a, b) not in excluded:
-                    edges.append((off + a, off + b))
-    return Graph(base.n, edges, base.labels)
+    labels = make_complete_multipartite(spec).labels
+    excluded = {
+        (off + a, off + b)
+        for off, pairs in zip(spec.part_offsets(), pairings)
+        for a, b in pairs
+    }
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in excluded
+    ]
+    return Graph(n, edges, labels)
 
 
 def make_hamming(spec: HammingSpec) -> Graph:
