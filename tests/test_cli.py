@@ -3,11 +3,12 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
-from isopath import cli, solver
+from isopath import base_covers, cli, solver
 from isopath.cli import main
 
 
@@ -157,6 +158,18 @@ class TestConstructVerify:
         assert code == 3
         assert out == ""
         assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+    def test_a_missing_base_cover_is_an_internal_error(self, capsys, monkeypatch):
+        # no input selects a key the table lacks, so a lost entry means a
+        # damaged package, not invalid input
+        table = dict(base_covers.base_cover_table())
+        del table[("multipartite", (2, 2, 2))]
+        monkeypatch.setattr(base_covers, "_TABLE", table)
+        code, out, err = run(capsys, "construct", "--multipartite", "2,2,2")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal error: UnknownCoverKeyError")
 
     def test_construct_over_the_edge_cap_exits_1(self, capsys):
         # 6200 vertices, 9,610,000 edges: rejected before the graph is built
@@ -355,6 +368,23 @@ class TestUsageErrors:
         assert self.error_lines(captured.err) == [
             "isopath solve: error: argument --budget: "
             f"need a non-negative integer, got {budget!r}"
+        ]
+
+    @pytest.mark.parametrize("max_n", ["15", "80"])
+    def test_selftest_past_its_cap_exits_1_at_once(self, capsys, max_n):
+        # the sweep builds every partition up to --max-n before solving:
+        # 123 million of them at 80
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--max-n", max_n])
+        assert time.perf_counter() - start < 5
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: isopath selftest")
+        assert self.error_lines(captured.err) == [
+            "isopath selftest: error: argument --max-n: "
+            f"need an integer of at most {cli.SELFTEST_MAX_N}, got {max_n!r}"
         ]
 
     def test_unknown_command_exits_1(self, capsys):
