@@ -8,6 +8,7 @@ grammar.
 """
 
 import argparse
+import functools
 import sys
 
 from .construct import cover_hamming2, cover_hamming3, cover_multipartite
@@ -57,12 +58,9 @@ _DOT_COLORS = (
 
 def _parse_sizes(text):
     try:
-        sizes = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise InvalidSpecError(f"malformed size list {text!r}") from None
-    if not sizes:
-        raise InvalidSpecError("empty size list")
-    return sizes
 
 
 def _parse_pairs(text, r):
@@ -136,6 +134,8 @@ def _graph_dot(g: Graph, cover: Cover | None = None) -> str:
 
 
 def _cmd_gen(args):
+    if args.pairs is not None and args.augmented is None:
+        raise InvalidSpecError("--pairs requires --augmented")
     if args.multipartite is not None:
         g = make_complete_multipartite(PartiteSpec(_parse_sizes(args.multipartite)))
     elif args.hamming is not None:
@@ -323,10 +323,19 @@ def _max_n(text):
         raise argparse.ArgumentTypeError(
             f"need an integer of at most {SELFTEST_MAX_N}, got {text!r}"
         )
+    if max_n < 2:
+        # below 2 the multipartite sweep is empty
+        raise argparse.ArgumentTypeError(f"need an integer of at least 2, got {text!r}")
     return max_n
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The parser, built on the first call and kept for the process: building
+    it costs about twenty times what one parse does.  It binds only the
+    _cmd_* functions, which look up everything else at call time, so a name
+    patched in this module (as the benchmark's tracer and the tests do)
+    still takes effect."""
     parser = _Parser(
         prog="isopath",
         description="Isometric path covers: formulas, constructions, exact solving, verification.",
@@ -385,8 +394,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidSpecError, FormatError, OutOfRangeError,

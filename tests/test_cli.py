@@ -39,6 +39,12 @@ class TestFormula:
         assert code == 1
         assert "error:" in err
 
+    def test_empty_size_list_is_malformed(self, capsys):
+        code, out, err = run(capsys, "formula", "--multipartite", "")
+        assert code == 1
+        assert out == ""
+        assert err == "error: malformed size list ''\n"
+
     def test_wrong_factor_count_exits_1(self, capsys):
         code, _, _ = run(capsys, "formula", "--hamming", "2,2,2,2")
         assert code == 1
@@ -68,6 +74,12 @@ class TestGen:
     def test_augmented_without_pairs_exits_1(self, capsys):
         code, _, _ = run(capsys, "gen", "--augmented", "4,2")
         assert code == 1
+
+    def test_pairs_without_augmented_exits_1(self, capsys):
+        code, out, err = run(capsys, "gen", "--hamming", "2,2", "--pairs", "0-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --pairs requires --augmented\n"
 
     def test_bad_pairs_exits_1(self, capsys):
         code, _, _ = run(capsys, "gen", "--augmented", "4,2", "--pairs", "0-1;0-1")
@@ -387,6 +399,20 @@ class TestUsageErrors:
             f"need an integer of at most {cli.SELFTEST_MAX_N}, got {max_n!r}"
         ]
 
+    @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+    def test_selftest_below_2_exits_1(self, capsys, max_n):
+        # below 2 the multipartite sweep is empty and only Hamming rows ran
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--max-n", max_n])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: isopath selftest")
+        assert self.error_lines(captured.err) == [
+            "isopath selftest: error: argument --max-n: "
+            f"need an integer of at least 2, got {max_n!r}"
+        ]
+
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
@@ -398,6 +424,85 @@ class TestUsageErrors:
             main(["solve", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: isopath solve")
+
+
+class TestParserReuse:
+    """main() keeps one parser per process; no call may see another's state."""
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["formula", "--multipartite"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        code, out, err = run(capsys, "formula", "--multipartite", "3,3,2")
+        assert (code, out, err) == (0, "ip=3 case=BALANCED\n", "")
+
+    def test_exclusive_options_reset_between_calls(self, capsys, tmp_path):
+        c = str(tmp_path / "c.cover")
+        code, out, err = run(capsys, "construct", "--hamming", "3,3", "-o", c)
+        assert (code, out, err) == (0, "size=3\n", "")
+        code, out, err = run(capsys, "construct", "--multipartite", "3,3,2", "-o", c)
+        assert (code, out, err) == (0, "size=3\n", "")
+
+    def test_budget_does_not_carry_over(self, capsys, tmp_path, monkeypatch):
+        g = tmp_path / "g.txt"
+        run(capsys, "gen", "--hamming", "2,2,3", "-o", str(g))
+        budgets = []
+
+        def recording_solve(graph, budget=None):
+            budgets.append(budget)
+            return solver.solve_min_cover(graph, budget)
+
+        monkeypatch.setattr(cli, "solve_min_cover", recording_solve)
+        code, out, _ = run(capsys, "solve", "-g", str(g), "--budget", "0")
+        assert code == 2
+        assert out.splitlines()[-1] == "proven=false"
+        code, out, _ = run(capsys, "solve", "-g", str(g))
+        assert code == 0
+        assert out.splitlines()[-1] == "proven=true"
+        # None makes solve_min_cover use DEFAULT_NODE_BUDGET
+        assert budgets == [0, None]
+
+    def test_help_is_byte_identical_twice(self, capsys):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--help"])
+            assert exc.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("usage: isopath solve")
+        assert outs[0] == outs[1]
+
+
+PARSER_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import isopath.cli
+print(isopath.cli._parser.cache_info().currsize)
+for argv in (["formula", "--hamming", "3,3"], ["formula", "--multipartite", "5,1"],
+             ["construct", "--hamming", "2,2"]):
+    isopath.cli.main(argv)
+print(isopath.cli._parser.cache_info().misses)
+"""
+
+
+def test_parser_is_built_once_on_the_first_call():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", PARSER_PROBE, src],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    lines = proc.stdout.splitlines()
+    # nothing built at import; one build for three calls
+    assert lines[0] == "0"
+    assert lines[-1] == "1"
+    assert lines[1:-1] == [
+        "ip=3 case=HAMMING2", "ip=3 case=DOMINANT_PART", "0 1", "2 3",
+    ]
+    assert not hasattr(cli, "build_parser")
 
 
 # Modules that dataclasses (inspect, ast) and importlib.resources (pathlib,
