@@ -17,7 +17,6 @@ from .construct import (
 )
 from .cover import (
     Cover,
-    Path,
     PathVerdict,
     VerifyReport,
     format_cover,

@@ -1,4 +1,4 @@
-"""Base of the immutable record types (specs, paths, covers, results)."""
+"""Base of the immutable record types (specs, covers, results)."""
 
 
 class Record:

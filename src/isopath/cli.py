@@ -112,9 +112,9 @@ def _graph_dot(g: Graph, cover: Cover | None = None) -> str:
     if cover is not None:
         for i, p in enumerate(cover.paths):
             color = _DOT_COLORS[i % len(_DOT_COLORS)]
-            for v in p.vertices:
+            for v in p:
                 vertex_color.setdefault(v, color)
-            for a, b in zip(p.vertices, p.vertices[1:]):
+            for a, b in zip(p, p[1:]):
                 edge_color.setdefault((min(a, b), max(a, b)), color)
     lines = ["graph cover {" if cover is not None else "graph g {"]
     for v in range(g.n):
@@ -141,10 +141,15 @@ def _cmd_gen(args):
     elif args.hamming is not None:
         g = make_hamming(HammingSpec(_parse_sizes(args.hamming)))
     else:
-        spec = PartiteSpec(_parse_sizes(args.augmented))
+        sizes = _parse_sizes(args.augmented)
+        spec = PartiteSpec(sizes)
         if args.pairs is None:
             raise InvalidSpecError("--augmented requires --pairs")
-        g = make_augmented_multipartite(spec, _parse_pairs(args.pairs, spec.r))
+        groups = _parse_pairs(args.pairs, spec.r)
+        # the groups follow the parts as given; PartiteSpec sorts the sizes
+        # largest first, stably, so the groups are sorted the same way
+        order = sorted(range(spec.r), key=sizes.__getitem__, reverse=True)
+        g = make_augmented_multipartite(spec, [groups[i] for i in order])
     _write_text(args.output, format_graph(g))
     if args.dot:
         _write_text(args.dot, _graph_dot(g))
@@ -241,7 +246,7 @@ def _cmd_paths(args):
         print(f"count={len(pool.paths)}")
     else:
         for p in pool.paths:
-            print(" ".join(str(v) for v in p.vertices))
+            print(" ".join(map(str, p)))
     return EXIT_OK
 
 

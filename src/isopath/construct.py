@@ -20,7 +20,7 @@ from .base_covers import (
     base_cover_lookup,
     base_cover_table,
 )
-from .cover import Cover, Path
+from .cover import Cover
 from .errors import ConstructionError, InvalidSpecError
 from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
 from .graph import HammingSpec, PartiteSpec, decode_coordinates
@@ -34,9 +34,9 @@ def _emit_dominant_base(remaining, ranked, paths):
     big = remaining[ranked[0][1]]
     hub = remaining[ranked[1][1]][0]
     for k in range(len(big) // 2):
-        paths.append(Path((big[2 * k], hub, big[2 * k + 1])))
+        paths.append((big[2 * k], hub, big[2 * k + 1]))
     if len(big) % 2 == 1:
-        paths.append(Path((big[-1], hub)))
+        paths.append((big[-1], hub))
 
 
 def _emit_complete_base(remaining, paths):
@@ -44,17 +44,17 @@ def _emit_complete_base(remaining, paths):
     # order; an odd count reuses the second-to-last vertex.
     verts = sorted(vs[0] for vs in remaining if vs)
     for k in range(len(verts) // 2):
-        paths.append(Path((verts[2 * k], verts[2 * k + 1])))
+        paths.append((verts[2 * k], verts[2 * k + 1]))
     if len(verts) % 2 == 1:
-        paths.append(Path((verts[-2], verts[-1])))
+        paths.append((verts[-2], verts[-1]))
 
 
 def _emit_221_base(remaining, ranked, paths):
     a1, a2 = remaining[ranked[0][1]][:2]
     b = remaining[ranked[1][1]][0]
     c = remaining[ranked[2][1]][0]
-    paths.append(Path((a1, b, a2)))
-    paths.append(Path((b, c)))
+    paths.append((a1, b, a2))
+    paths.append((b, c))
 
 
 def _emit_table_base(remaining, ranked, paths):
@@ -66,7 +66,7 @@ def _emit_table_base(remaining, ranked, paths):
         for o in range(size):
             translate[offsets[rank] + o] = remaining[part][o]
     for p in base.paths:
-        paths.append(Path(tuple(translate[v] for v in p.vertices)))
+        paths.append(tuple(translate[v] for v in p))
 
 
 def cover_multipartite(spec: PartiteSpec) -> Cover:
@@ -131,13 +131,13 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
         big = remaining[ranked[0][1]]
         a1, a2 = big[:2]
         del big[:2]
-        paths.append(Path((a1, remaining[donor].pop(0), a2)))
+        paths.append((a1, remaining[donor].pop(0), a2))
     if len(paths) != expected:
         raise ConstructionError(
             f"built {len(paths)} paths for sizes {spec.sizes}, formula says {expected}"
         )
     return Cover(
-        tuple(paths),
+        paths,
         note=f"complete multipartite {','.join(str(s) for s in spec.sizes)}",
     )
 
@@ -151,9 +151,7 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
 def _base_coord_paths(family, key):
     cover = base_cover_lookup(family, key)
     spec = HammingSpec(key)
-    return [
-        tuple(decode_coordinates(spec, v) for v in p.vertices) for p in cover.paths
-    ]
+    return [tuple(decode_coordinates(spec, v) for v in p) for p in cover.paths]
 
 
 def _tile(factors, rule):
@@ -179,14 +177,13 @@ def _tile(factors, rule):
             if key not in bases:
                 bases[key] = _base_coord_paths(family, key)
             paths.extend(
-                Path(tuple(start + sum(map(mul, v, steps)) for v in p))
-                for p in bases[key]
+                tuple(start + sum(map(mul, v, steps)) for v in p) for p in bases[key]
             )
             continue
         # reversed, so the first sub-box is popped, and emitted, first
         for sub, shift in reversed(rule(key)):
             stack.append((sub, steps, start + sum(map(mul, shift, steps))))
-    return tuple(paths)
+    return paths
 
 
 def _hamming_cover(factors, expected, rule):

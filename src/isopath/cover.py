@@ -1,38 +1,28 @@
-"""Path/cover data model, certificate verification, and the cover text format."""
+"""Cover data model, certificate verification, and the cover text format.
+
+A path is a tuple of vertex indices claimed to be an isometric path.
+"""
 
 from ._record import Record
 from .errors import FormatError
 from .graph import Graph
 
 
-class Path(Record):
-    """Ordered vertex sequence claimed to be an isometric path.
-
-    Distinctness and adjacency are checked at verification time, not here.
-    """
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices):
-        vertices = tuple(map(int, vertices))
-        if not vertices:
-            raise ValueError("a path has at least one vertex")
-        object.__setattr__(self, "vertices", vertices)
-
-    def __len__(self):
-        return len(self.vertices)
-
-
 class Cover(Record):
     """A multiset of paths plus a free-text note; the central certificate object.
 
+    Each path becomes a tuple of ints; an empty path is rejected, while
+    distinctness and adjacency are checked at verification time, not here.
     Vertex overlap between paths is permitted (covers are not partitions).
     """
 
     __slots__ = ("paths", "note")
 
     def __init__(self, paths, note=""):
-        object.__setattr__(self, "paths", tuple(paths))
+        paths = tuple(tuple(map(int, p)) for p in paths)
+        if not all(paths):
+            raise ValueError("a path has at least one vertex")
+        object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "note", note)
 
 
@@ -101,7 +91,7 @@ def _normal_form_ok(c: Cover) -> bool:
         if len(p) not in (2, 3):
             return False
         if len(p) == 3:
-            for v in (p.vertices[0], p.vertices[-1]):
+            for v in (p[0], p[-1]):
                 if v in endpoint_seen:
                     return False
                 endpoint_seen.add(v)
@@ -114,8 +104,7 @@ def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> Verify
     verdicts = []
     covered = set()
     incidences = 0
-    for p in c.paths:
-        verts = p.vertices
+    for verts in c.paths:
         in_range = all(0 <= v < g.n for v in verts)
         simple = len(set(verts)) == len(verts)
         walk = in_range and all(g.has_edge(a, b) for a, b in zip(verts, verts[1:]))
@@ -147,7 +136,7 @@ def format_cover(c: Cover, comments=()) -> str:
     Optional comment lines are emitted first, prefixed with ``# ``.
     """
     lines = [f"# {comment}" for comment in comments]
-    lines.extend(" ".join(str(v) for v in p.vertices) for p in c.paths)
+    lines.extend(" ".join(map(str, p)) for p in c.paths)
     return "\n".join(lines) + "\n"
 
 
@@ -164,8 +153,7 @@ def parse_cover(text: str) -> Cover:
             comments.append(line[1:].strip())
             continue
         try:
-            vertices = tuple(map(int, line.split()))
+            paths.append(tuple(map(int, line.split())))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad vertex index") from exc
-        paths.append(Path(vertices))
-    return Cover(tuple(paths), note="; ".join(comments))
+    return Cover(paths, note="; ".join(comments))

@@ -205,21 +205,18 @@ class _MultipartiteGraph(Graph):
 class PartiteSpec(Record):
     """Validated part sizes of a complete multipartite graph.
 
-    ``sizes`` is normalized to non-increasing order at construction;
-    ``input_sizes`` keeps the order as given for label round-tripping.
+    ``sizes`` is normalized to non-increasing order at construction.
     """
 
-    __slots__ = ("sizes", "input_sizes")
+    __slots__ = ("sizes",)
 
-    def __init__(self, sizes, input_sizes=()):
+    def __init__(self, sizes):
         given = tuple(int(s) for s in sizes)
         if not given:
             raise InvalidSpecError("at least one part is required")
         if any(s < 1 for s in given):
             raise InvalidSpecError(f"part sizes must be positive: {given}")
-        original = tuple(int(s) for s in input_sizes) or given
         object.__setattr__(self, "sizes", tuple(sorted(given, reverse=True)))
-        object.__setattr__(self, "input_sizes", original)
 
     @property
     def n(self):

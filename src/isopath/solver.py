@@ -7,7 +7,7 @@ results including the node count.
 """
 
 from ._record import Record
-from .cover import Cover, Path
+from .cover import Cover
 from .errors import DisconnectedGraphError, PoolBudgetError
 from .graph import Graph, all_pairs_distances
 
@@ -25,9 +25,9 @@ ORBIT_KEY_AFTER = 10_000
 class PathPool(Record):
     """All isometric paths of a graph in canonical order.
 
-    Paths are stored with the lexicographically smaller endpoint first and
-    the list is sorted lexicographically by vertex sequence.  ``masks[i]``
-    is the covered-vertex bitset of ``paths[i]``.
+    Each path is a tuple of vertex indices with the lexicographically
+    smaller endpoint first, and the paths are sorted lexicographically.
+    ``masks[i]`` is the covered-vertex bitset of ``paths[i]``.
     """
 
     __slots__ = ("paths", "masks", "max_path_vertices")
@@ -64,7 +64,7 @@ def enumerate_isometric_paths(g: Graph, d: list) -> PathPool:
     if n + n * (n - 1) // 2 + sum(map(sum, d)) // 2 > POOL_CAP:
         raise PoolBudgetError(too_many)
     stored = n
-    found = [Path((v,)) for v in range(n)]
+    found = [(v,) for v in range(n)]
     adj = [g.neighbors(v) for v in range(n)]
     for t in range(1, n):
         # A walk that steps to a vertex one closer to t at every step is a
@@ -80,14 +80,14 @@ def enumerate_isometric_paths(g: Graph, d: list) -> PathPool:
                         stored += len(prefix) + 1
                         if stored > POOL_CAP:
                             raise PoolBudgetError(too_many)
-                        found.append(Path(prefix + (w,)))
+                        found.append(prefix + (w,))
                     else:
                         stack.append(prefix + (w,))
-    found.sort(key=lambda p: p.vertices)
+    found.sort()
     masks = []
     for p in found:
         mask = 0
-        for v in p.vertices:
+        for v in p:
             mask |= 1 << v
         masks.append(mask)
     return PathPool(tuple(found), tuple(masks), max(len(p) for p in found))
@@ -171,12 +171,12 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     candidates = [[] for _ in range(n)]
     for i, p in enumerate(pool.paths):
         if len(p) > 1:
-            for v in p.vertices:
+            for v in p:
                 candidates[v].append((i, masks[i]))
     for v in range(n):
         if not candidates[v]:
             candidates[v] = [
-                (i, masks[i]) for i, p in enumerate(pool.paths) if p.vertices == (v,)
+                (i, masks[i]) for i, p in enumerate(pool.paths) if p == (v,)
             ]
 
     greedy = _greedy_indices(pool, n)

@@ -8,7 +8,14 @@ import tracemalloc
 
 import pytest
 
-from isopath import base_covers, cli, solver
+from isopath import (
+    PartiteSpec,
+    base_covers,
+    cli,
+    format_graph,
+    make_augmented_multipartite,
+    solver,
+)
 from isopath.cli import main
 
 
@@ -70,6 +77,32 @@ class TestGen:
         )
         assert code == 0
         assert out.startswith("p 6 12\n")
+
+    def test_pairs_groups_follow_the_given_part_order(self, capsys):
+        code, smaller_first, _ = run(
+            capsys, "gen", "--augmented", "2,4", "--pairs", "0-1;0-1,2-3"
+        )
+        assert code == 0
+        code, larger_first, _ = run(
+            capsys, "gen", "--augmented", "4,2", "--pairs", "0-1,2-3;0-1"
+        )
+        assert code == 0
+        assert smaller_first == larger_first
+
+    def test_pairs_groups_of_equal_parts_keep_their_order(self, capsys):
+        code, out, _ = run(
+            capsys, "gen", "--augmented", "4,2,4", "--pairs", "0-1,2-3;0-1;0-2,1-3"
+        )
+        assert code == 0
+        pairings = [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 1)]]
+        assert out == format_graph(
+            make_augmented_multipartite(PartiteSpec((4, 4, 2)), pairings)
+        )
+        code, swapped, _ = run(
+            capsys, "gen", "--augmented", "4,2,4", "--pairs", "0-2,1-3;0-1;0-1,2-3"
+        )
+        assert code == 0
+        assert swapped != out
 
     def test_augmented_without_pairs_exits_1(self, capsys):
         code, _, _ = run(capsys, "gen", "--augmented", "4,2")

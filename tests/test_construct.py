@@ -44,7 +44,7 @@ class TestBaseCoverTable:
     def test_keys_are_canonicalized(self):
         a = base_cover_lookup("hamming3", (3, 2, 3))
         b = base_cover_lookup("hamming3", (2, 3, 3))
-        assert [p.vertices for p in a.paths] == [p.vertices for p in b.paths]
+        assert a.paths == b.paths
 
     def test_unknown_key(self):
         with pytest.raises(UnknownCoverKeyError):
@@ -89,7 +89,7 @@ class TestBaseCoverTable:
         for (family, key), cover in sorted(base_cover_table().items()):
             digest.update(f"{family} {','.join(map(str, key))}\n".encode("ascii"))
             for p in cover.paths:
-                digest.update((" ".join(map(str, p.vertices)) + "\n").encode("ascii"))
+                digest.update((" ".join(map(str, p)) + "\n").encode("ascii"))
             digest.update(f"# {cover.note}\n".encode("ascii"))
         assert digest.hexdigest() == BASE_TABLE_SHA256
 
@@ -105,7 +105,7 @@ class TestCoverMultipartite:
         cover = cover_multipartite(PartiteSpec((5, 1)))
         assert len(cover.paths) == 3
         # hub vertex 5 carries two 3-paths and the leftover 2-path
-        assert [p.vertices for p in cover.paths] == [
+        assert list(cover.paths) == [
             (0, 5, 1),
             (2, 5, 3),
             (4, 5),
@@ -113,7 +113,7 @@ class TestCoverMultipartite:
 
     def test_single_edge(self):
         cover = cover_multipartite(PartiteSpec((1, 1)))
-        assert [p.vertices for p in cover.paths] == [(0, 1)]
+        assert cover.paths == ((0, 1),)
 
     def test_2_2_1(self):
         spec = PartiteSpec((2, 2, 1))
@@ -126,7 +126,7 @@ class TestCoverMultipartite:
         spec = PartiteSpec((3, 3, 2))
         cover = cover_multipartite(spec)
         assert len(cover.paths) == 3
-        assert {v for p in cover.paths for v in p.vertices} == set(range(8))
+        assert {v for p in cover.paths for v in p} == set(range(8))
 
     def test_rejects_single_part(self):
         with pytest.raises(InvalidSpecError):
@@ -152,7 +152,7 @@ class TestCoverHamming2:
     def test_3_3_is_the_stored_table(self):
         cover = cover_hamming2(3, 3)
         table = base_cover_lookup("hamming2", (3, 3))
-        assert [p.vertices for p in cover.paths] == [p.vertices for p in table.paths]
+        assert cover.paths == table.paths
 
     def test_2_4_size(self):
         assert len(cover_hamming2(2, 4).paths) == 3
@@ -184,7 +184,7 @@ class TestCoverHamming3:
     def test_2_2_2_is_the_stored_table(self):
         cover = cover_hamming3(2, 2, 2)
         table = base_cover_lookup("hamming3", (2, 2, 2))
-        assert [p.vertices for p in cover.paths] == [p.vertices for p in table.paths]
+        assert cover.paths == table.paths
 
     def test_exceptional_2_2_5(self):
         cover = cover_hamming3(2, 2, 5)
@@ -240,9 +240,9 @@ def test_covers_past_the_recursion_limit(factors):
     else:
         cover, expected = cover_hamming3(*factors), ip_hamming3(*factors).value
     assert len(cover.paths) == expected
-    assert {v for p in cover.paths for v in p.vertices} == set(range(spec.n))
+    assert {v for p in cover.paths for v in p} == set(range(spec.n))
     for p in cover.paths:
-        coords = [decode_coordinates(spec, v) for v in p.vertices]
+        coords = [decode_coordinates(spec, v) for v in p]
         assert all(_differing(x, y) == 1 for x, y in zip(coords, coords[1:]))
         assert _differing(coords[0], coords[-1]) == len(coords) - 1
 

@@ -1,4 +1,4 @@
-"""Path/cover model, verification semantics, and the cover text format."""
+"""Cover model, verification semantics, and the cover text format."""
 
 import random
 
@@ -12,7 +12,6 @@ from isopath import (
     Graph,
     HammingSpec,
     PartiteSpec,
-    Path,
     encode_coordinates,
     format_cover,
     make_complete_multipartite,
@@ -27,7 +26,7 @@ SPEC_233 = HammingSpec((2, 3, 3))
 
 
 def coord_path(spec, *coords):
-    return Path(tuple(encode_coordinates(spec, c) for c in coords))
+    return tuple(encode_coordinates(spec, c) for c in coords)
 
 
 def cover_222():
@@ -52,13 +51,25 @@ def cover_233():
 
 
 class TestPathBasics:
+    """A path is a tuple of vertex indices; Cover checks and converts it."""
+
     def test_requires_a_vertex(self):
         with pytest.raises(ValueError):
-            Path(())
+            Cover([()])
+        with pytest.raises(ValueError):
+            Cover([(0, 1), []])
 
     def test_duplicates_allowed_at_construction(self):
         # distinctness is a verification-time concern
-        assert Path((0, 1, 0)).vertices == (0, 1, 0)
+        assert Cover([(0, 1, 0)]).paths == ((0, 1, 0),)
+
+    def test_vertices_become_ints(self):
+        assert Cover([("3", 4.0)]).paths == ((3, 4),)
+
+    def test_list_paths_leave_the_cover_hashable(self):
+        cover = Cover([[0, 1], [1, 2]])
+        assert cover.paths == ((0, 1), (1, 2))
+        assert hash(cover) == hash(Cover(((0, 1), (1, 2))))
 
 
 class TestVerifyCover:
@@ -82,10 +93,10 @@ class TestVerifyCover:
         cube_detour = coord_path(SPEC_222, (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))
         cases = [
             # (graph, path, (simple, walk, isometric))
-            (k3, Path((0, 1, 2)), (True, True, False)),
+            (k3, (0, 1, 2), (True, True, False)),
             (make_hamming(SPEC_222), cube_detour, (True, True, False)),
-            (k22, Path((0, 2, 0)), (False, True, False)),
-            (k22, Path((0, 1)), (True, False, False)),
+            (k22, (0, 2, 0), (False, True, False)),
+            (k22, (0, 1), (True, False, False)),
         ]
         for g, path, expected in cases:
             report = verify_cover(g, Cover((path,)))
@@ -95,11 +106,11 @@ class TestVerifyCover:
 
     def test_geodesics_accepted(self):
         diagonal = coord_path(SPEC_33, (0, 0), (2, 0), (2, 2))
-        same_part = Path((0, 2, 1))
+        same_part = (0, 2, 1)
         cases = [
             (make_hamming(SPEC_33), diagonal),
             (make_complete_multipartite(PartiteSpec((2, 2))), same_part),
-            (Graph(1), Path((0,))),  # a single vertex is isometric by convention
+            (Graph(1), (0,)),  # a single vertex is isometric by convention
         ]
         for g, path in cases:
             assert verify_cover(g, Cover((path,))).path_verdicts[0].ok, path
@@ -119,14 +130,14 @@ class TestVerifyCover:
         g = Graph(n, sorted(edges))
         reference = nx.Graph(sorted(edges))
         reference.add_nodes_from(range(n))
-        verdict = verify_cover(g, Cover((Path(walk),))).path_verdicts[0]
+        verdict = verify_cover(g, Cover((walk,))).path_verdicts[0]
         assert verdict.simple and verdict.walk
         k = len(walk) - 1
         assert verdict.isometric == (nx.shortest_path_length(reference, walk[0], walk[-1]) == k)
 
     def test_out_of_range_reported_not_raised(self):
         g = Graph(2, [(0, 1)])
-        report = verify_cover(g, Cover((Path((0, 7)),)))
+        report = verify_cover(g, Cover(((0, 7),)))
         assert not report.valid
         assert not report.path_verdicts[0].walk
 
@@ -135,15 +146,13 @@ class TestVerifyCover:
         base = cover_233()
         rng = random.Random(7)
         for _ in range(5):
-            paths = [
-                Path(p.vertices[::-1]) if rng.random() < 0.5 else p for p in base.paths
-            ]
+            paths = [p[::-1] if rng.random() < 0.5 else p for p in base.paths]
             rng.shuffle(paths)
             assert verify_cover(g, Cover(tuple(paths))).valid
 
     def test_overlap_is_counted(self):
         g = make_complete_multipartite(PartiteSpec((2, 2)))
-        c = Cover((Path((0, 2, 1)), Path((0, 3, 1))))
+        c = Cover(((0, 2, 1), (0, 3, 1)))
         report = verify_cover(g, c)
         assert report.valid
         assert report.overlap == 2
@@ -152,7 +161,7 @@ class TestVerifyCover:
 class TestNormalFormMode:
     def test_shared_3_path_endpoints_fail_strict_only(self):
         g = make_complete_multipartite(PartiteSpec((2, 2)))
-        c = Cover((Path((0, 2, 1)), Path((0, 3, 1))))
+        c = Cover(((0, 2, 1), (0, 3, 1)))
         assert verify_cover(g, c).valid
         strict = verify_cover(g, c, strict_normal_form=True)
         assert not strict.valid
@@ -160,7 +169,7 @@ class TestNormalFormMode:
 
     def test_disjoint_endpoints_pass_strict(self):
         g = make_complete_multipartite(PartiteSpec((2, 2)))
-        c = Cover((Path((0, 2, 1)), Path((2, 0, 3))))
+        c = Cover(((0, 2, 1), (2, 0, 3)))
         strict = verify_cover(g, c, strict_normal_form=True)
         assert strict.valid and strict.normal_form
 
@@ -185,13 +194,13 @@ class TestCoverTextFormat:
     def test_comments_become_the_note(self):
         c = parse_cover("# context\n0 1\n")
         assert c.note == "context"
-        assert c.paths[0].vertices == (0, 1)
+        assert c.paths[0] == (0, 1)
 
     def test_malformed_rejected(self):
         with pytest.raises(FormatError):
             parse_cover("0 x 1\n")
 
     def test_format_with_comments(self):
-        text = format_cover(Cover((Path((0, 1)),)), comments=["k: v"])
+        text = format_cover(Cover(((0, 1),)), comments=["k: v"])
         assert text == "# k: v\n0 1\n"
 

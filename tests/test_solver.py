@@ -48,11 +48,11 @@ def greedy_cover(g):
 class TestEnumeration:
     def test_single_edge(self):
         pool = pool_of(Graph(2, [(0, 1)]))
-        assert [p.vertices for p in pool.paths] == [(0,), (0, 1), (1,)]
+        assert list(pool.paths) == [(0,), (0, 1), (1,)]
 
     def test_path_graph_on_three_vertices(self):
         pool = pool_of(Graph(3, [(0, 1), (1, 2)]))
-        assert [p.vertices for p in pool.paths] == [
+        assert list(pool.paths) == [
             (0,),
             (0, 1),
             (0, 1, 2),
@@ -68,16 +68,16 @@ class TestEnumeration:
 
     def test_canonical_storage_and_order(self):
         pool = pool_of(make_hamming(HammingSpec((2, 3))))
-        seqs = [p.vertices for p in pool.paths]
+        seqs = list(pool.paths)
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
         for p in pool.paths:
-            assert p.vertices[0] <= p.vertices[-1]
+            assert p[0] <= p[-1]
 
     def test_masks_match_paths(self):
         pool = pool_of(make_hamming(HammingSpec((2, 2))))
         for p, mask in zip(pool.paths, pool.masks):
-            assert mask == sum(1 << v for v in set(p.vertices))
+            assert mask == sum(1 << v for v in set(p))
 
     def test_disconnected_rejected(self):
         g = Graph(2)
@@ -100,13 +100,14 @@ class TestEnumeration:
         for cap in (84, 199):
             with mock.patch.object(solver, "POOL_CAP", cap), pytest.raises(PoolBudgetError):
                 pool_of(g)
-        # below the lower bound not one path is built
-        with (
-            mock.patch.object(solver, "POOL_CAP", 83),
-            mock.patch.object(solver, "Path", side_effect=AssertionError),
-            pytest.raises(PoolBudgetError),
-        ):
-            pool_of(g)
+        # below the lower bound not one path is built: the enumeration stops
+        # before it reads an adjacency list, which it does at the bound
+        d = all_pairs_distances(g)
+        with mock.patch.object(type(g), "neighbors", side_effect=AssertionError):
+            with mock.patch.object(solver, "POOL_CAP", 84), pytest.raises(AssertionError):
+                enumerate_isometric_paths(g, d)
+            with mock.patch.object(solver, "POOL_CAP", 83), pytest.raises(PoolBudgetError):
+                enumerate_isometric_paths(g, d)
 
     def test_pool_order_check(self):
         # a connected graph's pool stores at least n^2 vertices
@@ -151,7 +152,7 @@ class TestGreedy:
     def test_single_vertex(self):
         g = Graph(1)
         cover = greedy_cover(g)
-        assert [p.vertices for p in cover.paths] == [(0,)]
+        assert cover.paths == ((0,),)
 
     def test_star_k21_is_one_path(self):
         g = make_complete_multipartite(PartiteSpec((2, 1)))
@@ -191,9 +192,7 @@ class TestSolve:
         b = solve_min_cover(g)
         assert a.size == b.size
         assert a.nodes_explored == b.nodes_explored
-        assert [p.vertices for p in a.optimum.paths] == [
-            p.vertices for p in b.optimum.paths
-        ]
+        assert a.optimum.paths == b.optimum.paths
 
     def test_lower_bound_consistency(self):
         for sizes in ((3, 2), (2, 2, 2), (4, 3)):
@@ -356,12 +355,12 @@ def _plain_search(g, budget):
     candidates = [[] for _ in range(n)]
     for i, p in enumerate(pool.paths):
         if len(p) > 1:
-            for v in p.vertices:
+            for v in p:
                 candidates[v].append((i, masks[i]))
     for v in range(n):
         if not candidates[v]:
             candidates[v] = [
-                (i, masks[i]) for i, p in enumerate(pool.paths) if p.vertices == (v,)
+                (i, masks[i]) for i, p in enumerate(pool.paths) if p == (v,)
             ]
     greedy = _greedy_indices(pool, n)
     limit = len(greedy) + 1
@@ -400,7 +399,7 @@ def _plain_search(g, budget):
     note = "branch-and-bound optimum" if not exhausted else "budget-truncated incumbent"
     if not improved and exhausted:
         note = "greedy incumbent (budget exhausted)"
-    paths = tuple(pool.paths[i].vertices for i in best)
+    paths = tuple(pool.paths[i] for i in best)
     return len(best), nodes, not exhausted, note, paths
 
 
@@ -458,7 +457,7 @@ def _outcome(result):
         result.size,
         result.proof_of_optimality,
         result.optimum.note,
-        tuple(p.vertices for p in result.optimum.paths),
+        result.optimum.paths,
     )
 
 

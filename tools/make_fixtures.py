@@ -20,7 +20,7 @@ source tree on the path:
 import sys
 from pathlib import Path as FsPath
 
-from isopath.cover import Cover, Path, format_cover, verify_cover
+from isopath.cover import Cover, format_cover, verify_cover
 from isopath.formulas import ip_hamming2, ip_hamming3, ip_multipartite
 from isopath.graph import (
     HammingSpec,
@@ -233,7 +233,7 @@ def balanced_keys_up_to(limit):
 def normalize_multipartite(paths):
     """Shrink later 3-vertex paths that share an end vertex with an earlier
     one; the shared vertex stays covered by the earlier path."""
-    work = [list(p.vertices) for p in paths]
+    work = list(paths)
     while True:
         seen = set()
         shrink_at = None
@@ -247,7 +247,7 @@ def normalize_multipartite(paths):
                 break
             seen.update((p[0], p[-1]))
         if shrink_at is None:
-            return [Path(tuple(p)) for p in work]
+            return work
         p = work[shrink_at]
         work[shrink_at] = p[1:] if p[0] == shared else p[:2]
 
@@ -267,21 +267,18 @@ def write_hamming_fixtures():
         family = f"hamming{len(key)}"
         closed_form = ip_hamming2 if len(key) == 2 else ip_hamming3
         spec = HammingSpec(key)
-        paths = tuple(
-            Path(tuple(encode_coordinates(spec, v) for v in p)) for p in table
-        )
-        cover = Cover(paths)
+        cover = Cover([encode_coordinates(spec, v) for v in p] for p in table)
         check(cover, make_hamming(spec), closed_form(*key).value, f"{family} {key}")
         name = f"{family}_" + "-".join(str(s) for s in key) + ".cover"
         comments = [
             f"family: {family}",
             f"key: {','.join(str(s) for s in key)}",
-            f"paths: {len(paths)}",
+            f"paths: {len(cover.paths)}",
             "source: built-in base table, entered by hand",
         ] + extra
         text = format_cover(cover, comments=comments)
         (FIXTURE_DIR / name).write_text(text, encoding="ascii")
-        print(f"wrote {name} ({len(paths)} paths)")
+        print(f"wrote {name} ({len(cover.paths)} paths)")
 
 
 def write_multipartite_fixtures():
@@ -302,20 +299,19 @@ def write_multipartite_fixtures():
             raise SystemExit(
                 f"multipartite {key}: solver found {result.size}, formula {expected}"
             )
-        paths = normalize_multipartite(result.optimum.paths)
-        cover = Cover(tuple(paths))
+        cover = Cover(normalize_multipartite(result.optimum.paths))
         check(cover, graph, expected, f"multipartite {key}", strict=True)
         name = "multipartite_" + "-".join(str(s) for s in key) + ".cover"
         comments = [
             "family: multipartite",
             f"key: {','.join(str(s) for s in key)}",
-            f"paths: {len(paths)}",
+            f"paths: {len(cover.paths)}",
             "source: exact branch-and-bound solver,",
             "normalized so no two 3-vertex paths share an end vertex",
         ]
         text = format_cover(cover, comments=comments)
         (FIXTURE_DIR / name).write_text(text, encoding="ascii")
-        print(f"wrote {name} ({len(paths)} paths)")
+        print(f"wrote {name} ({len(cover.paths)} paths)")
 
 
 def main():
