@@ -11,15 +11,21 @@ from .graph import Graph
 class Cover(Record):
     """A multiset of paths plus a free-text note; the central certificate object.
 
-    Each path becomes a tuple of ints; an empty path is rejected, while
-    distinctness and adjacency are checked at verification time, not here.
+    Each path becomes a tuple of ints; an empty path, or a vertex other than
+    a string that ``int`` changes, is rejected, while distinctness and
+    adjacency are checked at verification time, not here.
     Vertex overlap between paths is permitted (covers are not partitions).
     """
 
     __slots__ = ("paths", "note")
 
     def __init__(self, paths, note=""):
-        paths = tuple(tuple(map(int, p)) for p in paths)
+        given = tuple(map(tuple, paths))
+        paths = tuple(tuple(map(int, p)) for p in given)
+        if paths != given:
+            for p, q in zip(given, paths):
+                if any(k != v and not isinstance(v, str) for v, k in zip(p, q)):
+                    raise ValueError(f"path {p} has a vertex that is not an integer")
         if not all(paths):
             raise ValueError("a path has at least one vertex")
         object.__setattr__(self, "paths", paths)

@@ -313,13 +313,19 @@ def all_pairs_distances(g: Graph) -> list:
 
 def make_complete_multipartite(spec: PartiteSpec) -> Graph:
     """Complete multipartite graph; part i occupies a contiguous index block."""
-    if spec.r == 1 and spec.n > 1:
+    g = _MultipartiteGraph(spec)
+    _check_partite_size(g.n, g.m)
+    return g
+
+
+def _check_partite_size(n, m):
+    """_check_size for the multipartite families, whose graphs are connected
+    unless they have no edge and two vertices or more."""
+    if n > 1 and m == 0:
         raise InvalidSpecError(
             "a single part of size >= 2 yields a disconnected (edgeless) graph"
         )
-    g = _MultipartiteGraph(spec)
-    _check_size(g.n, g.m)
-    return g
+    _check_size(n, m)
 
 
 def _validate_pairings(spec: PartiteSpec, pairings):
@@ -355,8 +361,8 @@ def make_augmented_multipartite(spec: PartiteSpec, pairings) -> Graph:
     """
     pairings = _validate_pairings(spec, pairings)
     n = spec.n
-    _check_size(n, n * (n - 1) // 2 - sum(s // 2 for s in spec.sizes))
-    labels = make_complete_multipartite(spec).labels
+    _check_partite_size(n, n * (n - 1) // 2 - sum(s // 2 for s in spec.sizes))
+    labels = _MultipartiteGraph(spec).labels
     excluded = {
         (off + a, off + b)
         for off, pairs in zip(spec.part_offsets(), pairings)

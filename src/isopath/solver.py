@@ -14,8 +14,8 @@ from .graph import Graph, all_pairs_distances
 # Most path vertices, summed over the paths, that one path pool stores.
 POOL_CAP = 10**7
 DEFAULT_NODE_BUDGET = 10**8
-# Most entries the failed-subtree table of one solve holds; an entry, an int
-# key in a set, takes about 70 bytes, so a full table is about 150 MB.
+# Most entries the failed-subtree table of one solve holds; an entry, a key
+# of n bits or so in a set, takes about 70 bytes: 150 MB in all.
 FAILED_TABLE_CAP = 1 << 21
 # Nodes a search tests before it derives its automorphism group and keys
 # the failed-subtree table by orbit; smaller searches never pay for it.

@@ -14,7 +14,9 @@ of two sources:
   coordinates are used only after every edge is checked against them.  H
   permutes the columns along the largest axis (the vertex sets of one
   coordinate value there) and applies the automorphisms of the product of
-  the other axes to all columns at once.
+  the other axes to all columns at once.  A set's key sorts the patterns
+  its columns hold, takes the least such sorted sequence over those
+  automorphisms and packs it into n bits.
 - Twin classes: vertices with the same open, or the same closed,
   neighbourhood.  Any permutation within a class is an automorphism, so H
   forgets which vertices of a class a set holds and keeps their count.
@@ -28,14 +30,16 @@ has more symmetry than it finds, costs search time, never soundness.
 
 from itertools import permutations, product
 from math import factorial, prod
-from operator import itemgetter
+from sys import byteorder
 
 # Largest number of cells (vertices of one column) of a Hamming key, and
 # largest table size, group order times 2^cells, of the group on the other
 # axes; past the latter only the column permutations are used.
 _MAX_CELLS = 12
 _MAX_TABLE = 1 << 16
-# Most column multisets whose key a Hamming key remembers (about 30 MB).
+# Most column multisets whose key a Hamming key remembers; an entry, a
+# tuple of c patterns and an n-bit int, takes 160 bytes on K2xK2xK7 and
+# 330 on K2xK6xK6, so a full memo there is about 40 to 90 MB.
 _MAX_SEEN = 1 << 18
 
 
@@ -99,70 +103,62 @@ def _hamming_coordinates(g, d):
 
 def _hamming_key(n, sizes, coords):
     """Key of the group that permutes the columns along the largest axis
-    and applies the other axes' automorphisms to every column alike."""
+    and applies the other axes' automorphisms to every column alike.  The
+    memo maps a set's sorted column patterns to its key."""
     axis = sizes.index(max(sizes))
     c = sizes[axis]
     others = sizes[:axis] + sizes[axis + 1:]
     cells = prod(others)
     if cells > _MAX_CELLS:
         return None
-    # bit of vertex v in key order: column, then the mixed-radix cell of its
-    # other coordinates (the first other axis most significant)
-    position = []
-    for coord in coords:
-        cell = 0
-        for k, size in enumerate(others):
-            cell = cell * size + coord[k + (k >= axis)]
-        position.append(coord[axis] * cells + cell)
+    # bit of vertex v in key order: its column's byte, or 16-bit word past 8
+    # cells, then the mixed-radix cell of its other coordinates (the first
+    # other axis most significant)
+    wide = cells > 8
+    unit = 16 if wide else 8
+    cell_of = {cell: k for k, cell in enumerate(product(*map(range, others)))}
+    position = [x[axis] * unit + cell_of[x[:axis] + x[axis + 1:]] for x in coords]
     order = prod(map(factorial, others))
     order *= prod(map(factorial, map(others.count, set(others))))
     if order << cells > _MAX_TABLE:
         cell_maps = [range(cells)]
     else:
         cell_maps = _product_automorphisms(others)
-    # Columns are read `per` at a time, as a chunk of at most 8 bits, in two
-    # chunks or more; the columns that pad the last chunk are empty.
-    per = max(1, 8 // cells)
-    if per >= c:
-        per = (c + 1) // 2
-    chunks = -(-c // per)
-    # a column holding pattern p counts one in slot p of the multiset key,
-    # w bits a slot; a chunk's code is the sum of its columns' codes
-    w = (chunks * per).bit_length()
-    encodings = []
-    for cell_map in cell_maps:
-        column = [1 << w * p for p in _bit_images([1 << k for k in cell_map])]
-        code = column
-        for _ in range(per - 1):
-            code = [a + b for b in column for a in code]
-        encodings.append(code)
+    # each cell map as a table of column patterns, and the images of a
+    # mask's columns under one map
+    images = [_bit_images([1 << k for k in cell_map]) for cell_map in cell_maps]
+    if wide:
+        def moved(columns, image):
+            return map(image.__getitem__, columns)
+    else:
+        images = [bytes(image).ljust(256, b"\0") for image in images]
+        moved = bytes.translate
     # the mask in key order, assembled a byte at a time
-    position.extend([None] * (-n % 8))
     byte_tables = [
-        (low, _bit_images([0 if k is None else 1 << k for k in position[low:low + 8]]))
-        for low in range(0, n, 8)
+        (low, _bit_images([1 << k for k in position[low:low + 8]])) for low in range(0, n, 8)
     ]
-    chunk = (1 << per * cells) - 1
-    shifts = range(0, chunks * per * cells, per * cells)
-
-    # the key of each column multiset met so far, by its identity code
-    identity = encodings[0]
+    size = c * unit // 8
     seen = {}
 
     def canon(mask):
         ordered = 0
         for low, table in byte_tables:
             ordered |= table[mask >> low & 255]
-        codes_of = itemgetter(*[ordered >> s & chunk for s in shifts])
-        multiset = sum(codes_of(identity))
-        key = seen.get(multiset)
+        columns = ordered.to_bytes(size, byteorder)
+        if wide:
+            columns = memoryview(columns).cast("H")
+        patterns = tuple(sorted(columns))
+        key = seen.get(patterns)
         if key is None:
-            key = min([sum(codes_of(code)) for code in encodings])
+            # the least sorted image, its c patterns packed into n bits
+            key = 0
+            for pattern in min([sorted(moved(columns, image)) for image in images]):
+                key = key << cells | pattern
             if len(seen) < _MAX_SEEN:
-                seen[multiset] = key
+                seen[patterns] = key
         return key
 
-    return canon, w << cells
+    return canon, n
 
 
 def _bit_images(bits):
@@ -176,27 +172,15 @@ def _bit_images(bits):
 def _product_automorphisms(sizes):
     """Every automorphism of the product of complete graphs of these sizes,
     as a map of mixed-radix cells: a value permutation on each axis, then a
-    permutation of axes of equal size; the identity comes first."""
-    r = len(sizes)
-    axis_orders = [
-        order for order in permutations(range(r))
-        if all(sizes[order[k]] == sizes[k] for k in range(r))
+    permutation of axes of equal size."""
+    cells = list(product(*map(range, sizes)))
+    index = {cell: k for k, cell in enumerate(cells)}
+    orders = [o for o in permutations(range(len(sizes))) if [sizes[k] for k in o] == sizes]
+    return [
+        [index[tuple(values[k][cell[k]] for k in order)] for cell in cells]
+        for values in product(*(permutations(range(size)) for size in sizes))
+        for order in orders
     ]
-    cells = list(product(*(range(size) for size in sizes)))
-    maps = []
-    for values in product(*(permutations(range(size)) for size in sizes)):
-        for order in axis_orders:
-            image = []
-            for cell in cells:
-                moved = [0] * r
-                for k in range(r):
-                    moved[order[k]] = values[k][cell[k]]
-                index = 0
-                for k in range(r):
-                    index = index * sizes[k] + moved[k]
-                image.append(index)
-            maps.append(image)
-    return maps
 
 
 def _twin_key(g):

@@ -78,6 +78,18 @@ class TestGen:
         assert code == 0
         assert out.startswith("p 6 12\n")
 
+    def test_augmented_single_part(self, capsys):
+        # K4 minus the matching 01, 23 is the 4-cycle 0-2-1-3
+        code, out, _ = run(capsys, "gen", "--augmented", "4", "--pairs", "0-1,2-3")
+        assert code == 0
+        assert out == "p 4 4\ne 0 2\ne 0 3\ne 1 2\ne 1 3\n"
+
+    def test_augmented_single_part_of_two_exits_1(self, capsys):
+        code, out, err = run(capsys, "gen", "--augmented", "2", "--pairs", "0-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: a single part of size >= 2 yields a disconnected (edgeless) graph\n"
+
     def test_pairs_groups_follow_the_given_part_order(self, capsys):
         code, smaller_first, _ = run(
             capsys, "gen", "--augmented", "2,4", "--pairs", "0-1;0-1,2-3"
@@ -174,6 +186,23 @@ class TestConstructVerify:
         assert code == 2
         assert out.splitlines()[0].startswith("valid=false")
         assert "uncovered_vertices=" in out
+
+    def test_verify_golden_path_lines(self, capsys, tmp_path):
+        # on the 3-cube (vertex 4a + 2b + c): 0 1 3 2 is a walk but not
+        # isometric, 0 3 is no walk, 8 is out of range, 4 5 7 is fine
+        g = tmp_path / "g.txt"
+        c = tmp_path / "c.cover"
+        run(capsys, "gen", "--hamming", "2,2,2", "-o", str(g))
+        c.write_text("# defects\n0 1 3 2\n\n0 3\n4 8\n4 5 7\n", encoding="ascii")
+        code, out, _ = run(capsys, "verify", "-g", str(g), "-c", str(c))
+        assert code == 2
+        assert out == (
+            "valid=false size=4 uncovered=1 overlap=3\n"
+            "uncovered_vertices=6\n"
+            "path=0 simple=true walk=true isometric=false\n"
+            "path=1 simple=true walk=false isometric=false\n"
+            "path=2 simple=true walk=false isometric=false\n"
+        )
 
     def test_verify_strict_mode(self, capsys, tmp_path):
         g = tmp_path / "g.txt"

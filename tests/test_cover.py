@@ -66,6 +66,12 @@ class TestPathBasics:
     def test_vertices_become_ints(self):
         assert Cover([("3", 4.0)]).paths == ((3, 4),)
 
+    def test_a_fractional_vertex_is_rejected(self):
+        with pytest.raises(ValueError, match="1.5"):
+            Cover([[0, 1.5]])
+        with pytest.raises(ValueError):
+            Cover([(0, 1), (2.5,)])
+
     def test_list_paths_leave_the_cover_hashable(self):
         cover = Cover([[0, 1], [1, 2]])
         assert cover.paths == ((0, 1), (1, 2))

@@ -199,6 +199,16 @@ class TestAugmentedMultipartite:
                         want = 2 if (u, v) in designated else 1
                         assert d[u][v] == want
 
+    def test_one_part_is_a_clique_minus_a_matching(self):
+        g = make_augmented_multipartite(PartiteSpec((4,)), [[(0, 1), (2, 3)]])
+        assert list(g.edges()) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        g = make_augmented_multipartite(PartiteSpec((3,)), [[(0, 2)]])
+        assert list(g.edges()) == [(0, 1), (1, 2)]
+
+    def test_one_part_of_two_is_edgeless(self):
+        with pytest.raises(InvalidSpecError, match="disconnected"):
+            make_augmented_multipartite(PartiteSpec((2,)), [[(0, 1)]])
+
     def test_pairing_validation(self):
         spec = PartiteSpec((4, 2))
         with pytest.raises(InvalidPairingError):

@@ -546,7 +546,7 @@ def _same_orbit(g, a, b):
         h.add_nodes_from(range(g.n))
         nx.set_node_attributes(h, {v: mask >> v & 1 for v in range(g.n)}, "in")
         marked.append(h)
-    return nx.is_isomorphic(*marked, node_match=lambda x, y: x["in"] == y["in"])
+    return nx.vf2pp_is_isomorphic(*marked, node_label="in")
 
 
 ORBIT_GRAPHS = {
@@ -582,6 +582,75 @@ def test_one_key_means_one_orbit(name):
 def test_a_graph_without_twins_or_axes_has_no_key():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
     assert symmetry.orbit_key(g, all_pairs_distances(g)) is None
+
+
+def test_a_hamming_graph_with_too_many_cells_has_no_key():
+    # a column of K4 x K4 x K4 has 16 cells, more than a key takes
+    g = make_hamming(HammingSpec((4, 4, 4)))
+    assert symmetry.orbit_key(g, all_pairs_distances(g)) is None
+
+
+@pytest.mark.parametrize(
+    "factors", [(5,), (2, 4), (7, 7), (2, 2, 2), (2, 2, 7), (3, 3, 4), (2, 5, 5), (3, 4, 5)]
+)
+def test_a_hamming_key_takes_n_bits(factors):
+    g = make_hamming(HammingSpec(factors))
+    canon, width = symmetry.orbit_key(g, all_pairs_distances(g))
+    assert width == g.n
+    assert 0 <= canon((1 << g.n) - 1) < 1 << width
+
+
+def _moved_mask(perm, mask):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+@pytest.mark.parametrize("factors,full_group", [((2, 5, 5), False), ((3, 3, 4), True)])
+def test_hamming_keys_follow_the_column_and_cell_maps(factors, full_group):
+    # K3 x K3 x K4 keys under column permutations and the 72 automorphisms
+    # of K3 x K3 on the cells; K2 x K5 x K5 has 240 such automorphisms on
+    # 10 cells, too large a table, so its key moves the columns only
+    n = math.prod(factors)
+    rng = random.Random(sum(factors))
+    g = relabelled(make_hamming(HammingSpec(factors)), rng.sample(range(n), n))
+    d = all_pairs_distances(g)
+    canon, _ = symmetry.orbit_key(g, d)
+    sizes, coords = symmetry._hamming_coordinates(g, d)
+    axis = sizes.index(max(sizes))
+    a, b = (k for k in range(len(sizes)) if k != axis)
+    index = {x: v for v, x in enumerate(coords)}
+
+    def automorphism(move):
+        return [index[tuple(move(list(x)))] for x in coords]
+
+    values = rng.sample(range(sizes[axis]), sizes[axis])
+
+    def move_columns(x):
+        x[axis] = values[x[axis]]
+        return x
+
+    def move_cells(x):
+        # a value shift on one other axis (in K3 x K3 also an axis swap)
+        if sizes[a] == sizes[b]:
+            x[a], x[b] = x[b], x[a]
+        x[b] = (x[b] + 1) % sizes[b]
+        return x
+
+    columns = automorphism(move_columns)
+    cells = automorphism(move_cells)
+    masks = [rng.getrandbits(n) for _ in range(100)]
+    masks += [sum(1 << v for v in rng.sample(range(n), 3)) for _ in range(300)]
+    for mask in masks:
+        assert canon(_moved_mask(columns, mask)) == canon(mask)
+    moved = [canon(_moved_mask(cells, mask)) == canon(mask) for mask in masks]
+    assert all(moved) if full_group else not all(moved)
+    # equal keys among sampled 3-sets: automorphic images
+    classes = {}
+    for mask in masks[100:]:
+        classes.setdefault(canon(mask), []).append(mask)
+    pairs = [(first, mask) for first, *rest in classes.values() for mask in rest]
+    assert len(pairs) >= 10
+    for first, mask in pairs:
+        assert _same_orbit(g, first, mask), (first, mask)
 
 
 def test_k3_1x13_is_proven_at_the_default_budget():
