@@ -104,7 +104,7 @@ class Graph:
         return self._adj[v]
 
     def has_edge(self, u, v):
-        return v in self._nbr[u]
+        return 0 <= u < self.n and v in self._nbr[u]
 
     def edges(self):
         """Yield edges (u, v) with u < v in lexicographic order."""
@@ -160,9 +160,10 @@ class _HammingGraph(Graph):
         return tuple(lower)
 
     def has_edge(self, u, v):
-        if u == v:
+        if u == v or not 0 <= u < self.n:
             return False
-        # they differ in one place iff they agree below and above some axis
+        # they differ in one place iff they agree below and above some axis;
+        # with u in range, that puts v in range too
         for stride, span in self._axes:
             if u % stride == v % stride and u // span == v // span:
                 return True

@@ -105,8 +105,7 @@ def _greedy_indices(pool: PathPool, n: int):
             if gain > best_gain:
                 best_gain = gain
                 best_idx = i
-        if best_idx < 0:
-            raise DisconnectedGraphError("pool cannot cover every vertex")
+        # an uncovered vertex's singleton is in the pool, so best_gain >= 1
         chosen.append(best_idx)
         covered |= pool.masks[best_idx]
     return chosen
@@ -130,8 +129,9 @@ def _too_many():
 def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     """Minimum isometric path cover by branch-and-bound over the path pool.
 
-    The search is one loop over an explicit stack of open nodes.  A node is
-    a set of chosen paths; the root chooses none.  An open node branches on
+    The search is one loop over a stack of open nodes.  A node is its stack
+    entry: the paths that opened the entries up to it are its chosen paths,
+    and its depth, their count, is its stack index.  An open node branches on
     its lowest-index uncovered vertex, trying the pool paths through it in
     canonical order, and tests each child before descending: a child that
     covers every vertex becomes the incumbent, a child whose bound size +
@@ -167,53 +167,46 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     max_len = pool.max_path_vertices
 
     # Dominance rule: never branch on a singleton while a multi-vertex path
-    # covers the branching vertex (always true for connected n >= 2).
+    # covers the branching vertex (one does unless n == 1, g being connected).
     candidates = [[] for _ in range(n)]
     for i, p in enumerate(pool.paths):
-        if len(p) > 1:
+        if len(p) > 1 or n == 1:
             for v in p:
                 candidates[v].append((i, masks[i]))
-    for v in range(n):
-        if not candidates[v]:
-            candidates[v] = [
-                (i, masks[i]) for i, p in enumerate(pool.paths) if p == (v,)
-            ]
 
     greedy = _greedy_indices(pool, n)
     # limit = smallest size we still have to beat; ties with the greedy seed
     # are explored, so the search, not the greedy seed, picks the optimum.
     limit = len(greedy) + 1
     best = greedy
-    improved = False
     # The root covers nothing and is never cut, since ceil(n / max_len) <=
     # optimum <= len(greedy); it branches on vertex 0.
     nodes = 1
     exhausted = nodes > budget
     # Failed-subtree table.  Below a node, until a cover is completed, the
     # search reads only its covered mask and its slack limit - depth: the
-    # children come from candidates[lowest uncovered vertex of covered],
-    # the cut is k < n - (limit - depth - 1) * max_len, and chosen and best
-    # are written but never read.  It completes a cover iff some set of
-    # fewer than slack pool paths covers the rest, and an automorphism of g
-    # maps pool paths to pool paths.  So a subtree in which no cover was
-    # completed has none wherever an image of its covered mask recurs at
-    # the same slack.  failed holds canon(covered) | slack << shift for
-    # such nodes, canon being the identity until the group is derived.
+    # children come from candidates[lowest uncovered vertex of covered] and
+    # the cut is k < n - (limit - depth - 1) * max_len.  It completes a cover
+    # iff some set of fewer than slack pool paths covers the rest, and an
+    # automorphism of g maps pool paths to pool paths.  So a subtree in which
+    # no cover was completed has none wherever an image of its covered mask
+    # recurs at the same slack.  failed holds canon(covered) | slack << shift
+    # for such nodes, canon being the identity until the group is derived.
     failed = set()
     failed_cap = FAILED_TABLE_CAP
     canon = None
     shift = n
     # the group is derived when the node count passes stop, or never
     stop = min(budget, ORBIT_KEY_AFTER)
-    # open nodes: (covered, depth, iterator over the untried candidates);
-    # chosen[:depth] holds the paths of the open node on top of the stack,
-    # and the nodes below stack index done have a completed cover below them
-    stack = [] if exhausted else [(0, 0, iter(candidates[0]))]
-    chosen = [0] * n
+    # A node is its stack entry (covered, index of the pool path that opened
+    # it or None at the root, iterator over its untried candidates), and its
+    # depth is its stack index.  The nodes below stack index done have a
+    # completed cover below them.
+    stack = [] if exhausted else [(0, None, iter(candidates[0]))]
     done = 0
     while stack:
-        covered, depth, children = stack[-1]
-        depth += 1  # of the children
+        covered, _, children = stack[-1]
+        depth = len(stack)  # of the children
         # A child at this depth covering k vertices is cut iff
         # depth + ceil((n - k) / max_len) >= limit, that is iff k < need.
         need = n - (limit - depth - 1) * max_len
@@ -238,11 +231,8 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
                     failed = set()
                     slack_key = (limit - depth) << shift
             if child == full:
-                chosen[depth - 1] = i
-                best = chosen[:depth]
-                improved = True
-                done = len(stack)
-                limit = depth
+                best = [entry[1] for entry in stack[1:]] + [i]
+                done = limit = depth
                 need = n - (limit - depth - 1) * max_len
                 slack_key = (limit - depth) << shift
                 continue
@@ -250,21 +240,21 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
                 continue
             if (child if canon is None else canon(child)) | slack_key in failed:
                 continue
-            chosen[depth - 1] = i
             # branch on the lowest uncovered vertex: the lowest 0 bit of child
             v = (~child & (child + 1)).bit_length() - 1
-            stack.append((child, depth, iter(candidates[v])))
+            stack.append((child, i, iter(candidates[v])))
             break
         else:
-            covered, depth, _ = stack.pop()
-            if len(stack) < done:
-                done = len(stack)
+            covered = stack.pop()[0]
+            depth = len(stack)  # of the node just closed
+            if depth < done:
+                done = depth
             elif len(failed) < failed_cap:
                 key = covered if canon is None else canon(covered)
                 failed.add(key | (limit - depth) << shift)
 
     note = "branch-and-bound optimum" if not exhausted else "budget-truncated incumbent"
-    if not improved and exhausted:
+    if best is greedy and exhausted:
         note = "greedy incumbent (budget exhausted)"
     cover = Cover(tuple(pool.paths[i] for i in best), note=note)
     return SolveResult(

@@ -130,6 +130,20 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--augmented", "4,2", "--pairs", "0-1;0-1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ("0-1", "--pairs needs 2 ';'-separated groups (one per part), got 1"),
+            ("0+1,2-3;0-1", "malformed pair '0+1' (want a-b)"),
+            ("a-1,2-3;0-1", "malformed pair 'a-1'"),
+        ],
+    )
+    def test_malformed_pairs_exit_1(self, capsys, pairs, message):
+        code, out, err = run(capsys, "gen", "--augmented", "4,2", "--pairs", pairs)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_over_the_edge_cap_exits_1(self, capsys):
         code, out, err = run(capsys, "gen", "--multipartite", "40000,10000")
         assert code == 1
@@ -244,6 +258,12 @@ class TestConstructVerify:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("internal error: UnknownCoverKeyError")
+
+    def test_construct_one_hamming_factor_exits_1(self, capsys):
+        code, out, err = run(capsys, "construct", "--hamming", "5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --hamming takes 2 or 3 factors\n"
 
     def test_construct_over_the_edge_cap_exits_1(self, capsys):
         # 6200 vertices, 9,610,000 edges: rejected before the graph is built
@@ -444,7 +464,7 @@ class TestUsageErrors:
             f"need a non-negative integer, got {budget!r}"
         ]
 
-    @pytest.mark.parametrize("max_n", ["15", "80"])
+    @pytest.mark.parametrize("max_n", ["15", "80", "x"])
     def test_selftest_past_its_cap_exits_1_at_once(self, capsys, max_n):
         # the sweep builds every partition up to --max-n before solving:
         # 123 million of them at 80

@@ -6,6 +6,7 @@ from itertools import permutations, product
 import pytest
 
 from isopath import (
+    ConstructionError,
     HammingSpec,
     InvalidSpecError,
     PartiteSpec,
@@ -22,6 +23,7 @@ from isopath import (
     make_hamming,
     verify_cover,
 )
+from isopath import base_covers
 from isopath.base_covers import base_cover_table
 from isopath.graph import decode_coordinates
 
@@ -98,6 +100,36 @@ class TestBaseCoverTable:
         a = base_cover_lookup("hamming3", (3, 2, 3))
         assert a is base_cover_lookup("hamming3", (2, 3, 3))
         assert a is base_cover_table()[("hamming3", (2, 3, 3))]
+
+    @pytest.mark.parametrize(
+        "files,message",
+        [
+            ({}, "no base cover fixtures found"),
+            ({"torus_2-2.cover": ""}, "unknown fixture family in 'torus_2-2.cover'"),
+            (
+                {"hamming2_3-2.cover": "0 1\n"},
+                "fixture 'hamming2_3-2.cover' key is not canonical",
+            ),
+            (
+                {"hamming2_2-2.cover": "0 1\n"},
+                "base cover hamming2 (2, 2) failed verification (uncovered=(2, 3))",
+            ),
+            (
+                {"hamming2_2-2.cover": "0 1\n2 3\n0 2\n"},
+                "base cover hamming2 (2, 2) has 3 paths, expected 2",
+            ),
+        ],
+        ids=["empty", "family", "key", "invalid", "size"],
+    )
+    def test_a_damaged_fixture_directory_fails_to_load(
+        self, tmp_path, monkeypatch, files, message
+    ):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="ascii")
+        monkeypatch.setattr(base_covers, "_FIXTURES", str(tmp_path))
+        with pytest.raises(ConstructionError) as info:
+            base_covers._load_table()
+        assert str(info.value) == message
 
 
 class TestCoverMultipartite:

@@ -58,6 +58,7 @@ MALFORMED_GRAPHS = {
     "p 2 1\ne 0 one\n": "line 2: bad edge line",
     "p 3 2\ne 0 1\ne 1 0\n": "problem line declares 2 edges, file has 1 distinct",
     EARLY_RANGE_ERROR_LATE_BAD_LINE: "line 5001: bad edge line",
+    "p x 1\n": "line 1: bad problem line",
 }
 
 
@@ -591,6 +592,53 @@ class TestGraphInvariants:
             Graph(2, [(0, 0)])
         with pytest.raises(OutOfRangeError):
             Graph(2, [(0, 2)])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph(3, [(1, 2)]),
+            lambda: parse_graph("p 3 1\ne 1 2\n"),
+            # the mixed-radix rule alone makes 4 and 5 differ in one place
+            lambda: make_hamming(HammingSpec((2, 2))),
+            lambda: make_complete_multipartite(PartiteSpec((2, 1))),
+        ],
+        ids=["stored", "parsed", "hamming", "multipartite"],
+    )
+    def test_a_vertex_outside_the_graph_has_no_edge(self, build):
+        g = build()
+        for u in (-1, g.n, g.n + 1):
+            for v in range(-1, g.n + 2):
+                assert not g.has_edge(u, v)
+                assert not g.has_edge(v, u)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: Graph(-1), InvalidSpecError, "vertex count must be nonnegative"),
+        (
+            lambda: Graph(2, [(0, 1)], labels=["a"]),
+            InvalidSpecError,
+            "labels length must equal vertex count",
+        ),
+        (
+            lambda: make_augmented_multipartite(PartiteSpec((2, 2)), [[(0, 0)], [(0, 1)]]),
+            InvalidPairingError,
+            "part 0: degenerate pair (0,0)",
+        ),
+        (
+            lambda: encode_coordinates(HammingSpec((2, 3)), (1,)),
+            OutOfRangeError,
+            "expected 2 coordinates, got 1",
+        ),
+    ],
+    ids=["negative-n", "labels-length", "degenerate-pair", "coordinate-count"],
+)
+def test_bad_library_input_raises_its_error(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 class TestSizeCap:
