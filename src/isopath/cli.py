@@ -156,17 +156,22 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
+def _hamming_family(factors):
+    """(closed form, constructor) for a Hamming graph with these factors.
+    The names are looked up per call, so a patched one takes effect."""
+    if len(factors) == 2:
+        return ip_hamming2, cover_hamming2
+    if len(factors) == 3:
+        return ip_hamming3, cover_hamming3
+    raise InvalidSpecError("--hamming takes 2 or 3 factors")
+
+
 def _cmd_formula(args):
     if args.multipartite is not None:
         result = ip_multipartite(PartiteSpec(_parse_sizes(args.multipartite)))
     else:
         factors = _parse_sizes(args.hamming)
-        if len(factors) == 2:
-            result = ip_hamming2(*factors)
-        elif len(factors) == 3:
-            result = ip_hamming3(*factors)
-        else:
-            raise InvalidSpecError("--hamming takes 2 or 3 factors")
+        result = _hamming_family(factors)[0](*factors)
     print(f"ip={result.value} case={result.case_tag}")
     return EXIT_OK
 
@@ -179,12 +184,7 @@ def _cmd_construct(args):
     else:
         factors = _parse_sizes(args.hamming)
         g = make_hamming(HammingSpec(factors))
-        if len(factors) == 2:
-            cover = cover_hamming2(*factors)
-        elif len(factors) == 3:
-            cover = cover_hamming3(*factors)
-        else:
-            raise InvalidSpecError("--hamming takes 2 or 3 factors")
+        cover = _hamming_family(factors)[1](*factors)
     report = verify_cover(g, cover)
     if not report.valid:
         raise ConstructionError("constructed cover failed verification")
@@ -265,25 +265,25 @@ def _selftest_instances(max_n):
     return sorted(multi), sorted(hamming)
 
 
-def _cmd_selftest(args):
-    multi, hamming = _selftest_instances(args.max_n)
+def _selftest_rows(max_n):
+    """(family, key, formula value, graph) of each selftest instance, by
+    family and then by key."""
+    multi, hamming = _selftest_instances(max_n)
     # the paper's exceptional family past the sweep: K2 x K2 x K_c, c odd,
     # 7 <= c <= max_n + 1, where ip is one more than the counting bound
-    hamming += [(2, 2, c) for c in range(7, args.max_n + 2, 2)]
-    passed = 0
-    total = 0
-    rows = []
+    for key in sorted(hamming + [(2, 2, c) for c in range(7, max_n + 2, 2)]):
+        want = _hamming_family(key)[0](*key).value
+        yield "hamming", key, want, make_hamming(HammingSpec(key))
     for key in multi:
         spec = PartiteSpec(key)
-        want = ip_multipartite(spec).value
-        got = solve_min_cover(make_complete_multipartite(spec))
-        rows.append(("multipartite", key, want, got))
-    for key in hamming:
-        want = (ip_hamming2 if len(key) == 2 else ip_hamming3)(*key).value
-        got = solve_min_cover(make_hamming(HammingSpec(key)))
-        rows.append(("hamming", key, want, got))
-    rows.sort(key=lambda row: (row[0], row[1]))
-    for family, key, want, got in rows:
+        yield "multipartite", key, ip_multipartite(spec).value, make_complete_multipartite(spec)
+
+
+def _cmd_selftest(args):
+    passed = 0
+    total = 0
+    for family, key, want, g in _selftest_rows(args.max_n):
+        got = solve_min_cover(g)
         total += 1
         # an incumbent from an exhausted budget confirms nothing, even when
         # its size happens to match
@@ -334,6 +334,14 @@ def _max_n(text):
     return max_n
 
 
+def _family_group(parser):
+    """Add the required --multipartite or --hamming choice to a parser; return it."""
+    family = parser.add_mutually_exclusive_group(required=True)
+    family.add_argument("--multipartite", metavar="SIZES", help="part sizes, e.g. 3,3,2")
+    family.add_argument("--hamming", metavar="FACTORS", help="factor sizes, e.g. 3,3,4")
+    return family
+
+
 @functools.cache
 def _parser():
     """The parser, built on the first call and kept for the process: building
@@ -348,9 +356,7 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a family graph in the graph text format")
-    family = gen.add_mutually_exclusive_group(required=True)
-    family.add_argument("--multipartite", metavar="SIZES", help="part sizes, e.g. 3,3,2")
-    family.add_argument("--hamming", metavar="FACTORS", help="factor sizes, e.g. 3,3,4")
+    family = _family_group(gen)
     family.add_argument("--augmented", metavar="SIZES", help="part sizes for the augmented family")
     gen.add_argument("--pairs", metavar="PAIRS", help="per-part non-adjacent pairs, e.g. '0-1,2-3;0-1'")
     gen.add_argument("-o", "--output", default="-", help="output file (default stdout)")
@@ -358,15 +364,11 @@ def _parser():
     gen.set_defaults(func=_cmd_gen)
 
     formula = sub.add_parser("formula", help="print the closed-form isometric path number")
-    family = formula.add_mutually_exclusive_group(required=True)
-    family.add_argument("--multipartite", metavar="SIZES")
-    family.add_argument("--hamming", metavar="FACTORS")
+    _family_group(formula)
     formula.set_defaults(func=_cmd_formula)
 
     construct = sub.add_parser("construct", help="build an optimal cover and verify it")
-    family = construct.add_mutually_exclusive_group(required=True)
-    family.add_argument("--multipartite", metavar="SIZES")
-    family.add_argument("--hamming", metavar="FACTORS")
+    _family_group(construct)
     construct.add_argument("-o", "--output", help="cover file; prints size=N when given")
     construct.set_defaults(func=_cmd_construct)
 

@@ -21,8 +21,10 @@ from .base_covers import (
     base_cover_table,
 )
 from .cover import Cover
-from .errors import ConstructionError, InvalidSpecError
-from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
+from .errors import ConstructionError
+from .formulas import (
+    CASE_DOMINANT_PART, CASE_MANY_ODD, ip_hamming2, ip_hamming3, ip_multipartite,
+)
 from .graph import HammingSpec, PartiteSpec, decode_coordinates
 
 
@@ -72,8 +74,6 @@ def _emit_table_base(remaining, ranked, paths):
 def cover_multipartite(spec: PartiteSpec) -> Cover:
     """Valid cover of make_complete_multipartite(spec) with exactly
     ip_multipartite(spec).value paths, in normal form."""
-    if spec.r < 2:
-        raise InvalidSpecError("at least two parts are required")
     expected = ip_multipartite(spec).value
     offsets = spec.part_offsets()
     remaining = [
@@ -83,8 +83,6 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
     run_case = None
     while True:
         active = [(len(vs), idx) for idx, vs in enumerate(remaining) if vs]
-        if not active:
-            break
         ranked = sorted(active, key=lambda t: (-t[0], t[1]))
         sizes_now = tuple(size for size, _ in ranked)
         if len(sizes_now) == 1:
@@ -99,12 +97,12 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
         run_case = case
         n, n1, alpha = cur.n, sizes_now[0], cur.alpha
 
-        if case == "DOMINANT_PART":
+        if case == CASE_DOMINANT_PART:
             if n - n1 == 1:
                 _emit_dominant_base(remaining, ranked, paths)
                 break
             donor = ranked[1][1]
-        elif case == "MANY_ODD":
+        elif case == CASE_MANY_ODD:
             if n == alpha:
                 _emit_complete_base(remaining, paths)
                 break
@@ -160,14 +158,11 @@ def _tile(factors, rule):
     r = len(factors)
     family = FAMILY_HAMMING2 if r == 2 else FAMILY_HAMMING3
     table = base_cover_table()
-    strides = [1] * r
-    for j in range(r - 1, 0, -1):
-        strides[j - 1] = strides[j] * factors[j]
     bases = {}
     paths = []
     # a box: its factors in its parent's frame, the index stride of the
     # caller's axis under each of them, and the index of its corner
-    stack = [(tuple(factors), tuple(strides), 0)]
+    stack = [(tuple(factors), HammingSpec(factors).strides, 0)]
     while stack:
         sizes, steps, start = stack.pop()
         order = sorted(range(r), key=sizes.__getitem__)

@@ -9,8 +9,9 @@ significant.
 
 from bisect import bisect_right
 from collections import defaultdict, deque
-from itertools import product
-from operator import eq
+from itertools import accumulate, product
+from math import prod
+from operator import eq, mul
 
 from ._record import Record
 from .errors import (
@@ -131,12 +132,7 @@ class _HammingGraph(Graph):
         # (stride, stride * size) of each axis, the most significant first:
         # v % stride holds the digits below the axis, v // (stride * size)
         # the digits above it
-        axes = []
-        stride = 1
-        for size in reversed(spec.factors):
-            axes.append((stride, stride * size))
-            stride *= size
-        self._axes = tuple(reversed(axes))
+        self._axes = tuple((s, s * f) for s, f in zip(spec.strides, spec.factors))
 
     @property
     def labels(self):
@@ -281,14 +277,16 @@ class HammingSpec(Record):
 
     @property
     def n(self):
-        p = 1
-        for f in self.factors:
-            p *= f
-        return p
+        return prod(self.factors)
 
     @property
     def r(self):
         return len(self.factors)
+
+    @property
+    def strides(self):
+        """The index step of each coordinate: the product of the later factors."""
+        return tuple(accumulate(self.factors[:0:-1], mul, initial=1))[::-1]
 
 
 def _bfs_row(adj, n, source):
@@ -400,12 +398,7 @@ def decode_coordinates(spec: HammingSpec, index: int):
     """Inverse of encode_coordinates."""
     if not 0 <= index < spec.n:
         raise OutOfRangeError(f"vertex index {index} out of range [0,{spec.n})")
-    coords = [0] * spec.r
-    for axis in range(spec.r - 1, -1, -1):
-        size = spec.factors[axis]
-        coords[axis] = index % size
-        index //= size
-    return tuple(coords)
+    return tuple(index // s % f for s, f in zip(spec.strides, spec.factors))
 
 
 def format_coordinates(coords) -> str:

@@ -120,12 +120,10 @@ def _hamming_key(n, sizes, coords):
     position = [x[axis] * unit + cell_of[x[:axis] + x[axis + 1:]] for x in coords]
     order = prod(map(factorial, others))
     order *= prod(map(factorial, map(others.count, set(others))))
-    if order << cells > _MAX_TABLE:
-        cell_maps = [range(cells)]
-    else:
-        cell_maps = _product_automorphisms(others)
-    # each cell map as a table of column patterns, and the images of a
-    # mask's columns under one map
+    # every cell map but the identity as a table of column patterns, none
+    # for a group too large for tables, and the images of a mask's columns
+    # under one map
+    cell_maps = [] if order << cells > _MAX_TABLE else _product_automorphisms(others, cell_of)
     images = [_bit_images([1 << k for k in cell_map]) for cell_map in cell_maps]
     if wide:
         def moved(columns, image):
@@ -150,9 +148,11 @@ def _hamming_key(n, sizes, coords):
         patterns = tuple(sorted(columns))
         key = seen.get(patterns)
         if key is None:
-            # the least sorted image, its c patterns packed into n bits
+            # the least sorted image, the identity's being the patterns
+            # themselves, its c patterns packed into n bits
             key = 0
-            for pattern in min([sorted(moved(columns, image)) for image in images]):
+            least = min([list(patterns)] + [sorted(moved(columns, i)) for i in images])
+            for pattern in least:
                 key = key << cells | pattern
             if len(seen) < _MAX_SEEN:
                 seen[patterns] = key
@@ -169,18 +169,17 @@ def _bit_images(bits):
     return table
 
 
-def _product_automorphisms(sizes):
-    """Every automorphism of the product of complete graphs of these sizes,
-    as a map of mixed-radix cells: a value permutation on each axis, then a
-    permutation of axes of equal size."""
-    cells = list(product(*map(range, sizes)))
-    index = {cell: k for k, cell in enumerate(cells)}
+def _product_automorphisms(sizes, cell_of):
+    """Every automorphism but the identity of the product of complete graphs
+    of these sizes, as a map of the cells numbered by ``cell_of``: a value
+    permutation on each axis, then a permutation of axes of equal size."""
     orders = [o for o in permutations(range(len(sizes))) if [sizes[k] for k in o] == sizes]
-    return [
-        [index[tuple(values[k][cell[k]] for k in order)] for cell in cells]
+    maps = [
+        [cell_of[tuple(values[k][cell[k]] for k in order)] for cell in cell_of]
         for values in product(*(permutations(range(size)) for size in sizes))
         for order in orders
     ]
+    return maps[1:]  # the first is the identity: no permutation anywhere
 
 
 def _twin_key(g):

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from isopath import (
+    Cover,
     PartiteSpec,
     base_covers,
     cli,
@@ -258,6 +259,30 @@ class TestConstructVerify:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("internal error: UnknownCoverKeyError")
+
+    @pytest.mark.parametrize(
+        "entry,paths,argv,message",
+        [
+            (("hamming2", (2, 2)), [(0, 1), (0, 1)], ("--hamming", "2,2"),
+             "constructed cover failed verification"),
+            (("hamming2", (2, 2)), [(0, 1), (2, 3), (0, 2)], ("--hamming", "2,2"),
+             "built 3 paths for K_2 x K_2, formula says 2"),
+            (("multipartite", (2, 1)), [(0, 2), (2, 1)], ("--multipartite", "2,1"),
+             "built 2 paths for sizes (2, 1), formula says 1"),
+        ],
+    )
+    def test_a_damaged_base_cover_is_an_internal_error(
+        self, capsys, monkeypatch, entry, paths, argv, message
+    ):
+        # a base cover of the wrong size, or one that fails verification,
+        # is caught by the constructor's count or by the CLI's verify
+        table = dict(base_covers.base_cover_table())
+        table[entry] = Cover(paths)
+        monkeypatch.setattr(base_covers, "_TABLE", table)
+        code, out, err = run(capsys, "construct", *argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: {message}\n"
 
     def test_construct_one_hamming_factor_exits_1(self, capsys):
         code, out, err = run(capsys, "construct", "--hamming", "5")

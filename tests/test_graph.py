@@ -59,6 +59,9 @@ MALFORMED_GRAPHS = {
     "p 3 2\ne 0 1\ne 1 0\n": "problem line declares 2 edges, file has 1 distinct",
     EARLY_RANGE_ERROR_LATE_BAD_LINE: "line 5001: bad edge line",
     "p x 1\n": "line 1: bad problem line",
+    "p -1 0\n": "vertex count must be nonnegative",
+    # before the range error of edge (0,1)
+    "p -1 1\ne 0 1\n": "vertex count must be nonnegative",
 }
 
 

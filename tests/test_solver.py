@@ -519,6 +519,42 @@ def test_a_rewired_hamming_graph_is_not_recognised(data):
     _assert_plain_outcome(h, data)
 
 
+def shrikhande_graph():
+    """The Shrikhande graph: vertex 4a+b of Z4 x Z4 joined to its sums with
+    ±(1,0), ±(0,1) and ±(1,1).  It has the 16 vertices, 48 edges and
+    degree 6 of K4 x K4, but it is not a Hamming graph."""
+    steps = ((1, 0), (0, 1), (1, 1))
+    return Graph(16, [
+        (4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+        for a in range(4) for b in range(4) for x, y in steps
+    ])
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)])
+def test_the_shrikhande_graph_is_not_recognised(seed):
+    # the neighbours of a vertex form a 6-cycle.  Under about half of these
+    # numberings it splits into two "lines" of 3, and the 4 x 4 coordinates
+    # read from the distances repeat; a false match would key the failed
+    # table by a map that is not an automorphism
+    g = shrikhande_graph()
+    if seed is not None:
+        g = relabelled(g, random.Random(seed).sample(range(16), 16))
+    assert (g.n, g.m) == (16, 48)
+    d = all_pairs_distances(g)
+    assert symmetry._hamming_coordinates(g, d) is None
+    assert symmetry.orbit_key(g, d) is None
+
+
+def test_the_shrikhande_graph_is_solved_without_a_key():
+    # diameter 2, so an isometric path has at most 3 vertices and the
+    # counting bound is ceil(16/3) = 6
+    g = shrikhande_graph()
+    result = solve_min_cover(g)
+    assert (result.size, result.nodes_explored, result.proof_of_optimality) == (6, 199, True)
+    assert result.size == ceil_div(g.n, 3)
+    assert verify_cover(g, result.optimum).valid
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.data())
 def test_twin_classes_that_cannot_swap_keep_their_counts_apart(data):

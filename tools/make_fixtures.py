@@ -21,7 +21,7 @@ import sys
 from pathlib import Path as FsPath
 
 from isopath.cover import Cover, format_cover, verify_cover
-from isopath.formulas import ip_hamming2, ip_hamming3, ip_multipartite
+from isopath.formulas import CASE_BALANCED, ip_hamming2, ip_hamming3, ip_multipartite
 from isopath.graph import (
     HammingSpec,
     PartiteSpec,
@@ -226,7 +226,7 @@ def balanced_keys_up_to(limit):
     return [
         key
         for key in sorted_partitions(limit)
-        if ip_multipartite(PartiteSpec(key)).case_tag == "BALANCED"
+        if ip_multipartite(PartiteSpec(key)).case_tag == CASE_BALANCED
     ]
 
 
