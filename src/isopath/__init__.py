@@ -27,7 +27,6 @@ from .errors import (
     ConstructionError,
     DisconnectedGraphError,
     FormatError,
-    FormulaConflictError,
     InvalidPairingError,
     InvalidSpecError,
     OutOfRangeError,

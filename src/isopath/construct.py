@@ -42,9 +42,9 @@ def _emit_dominant_base(remaining, ranked, paths):
 
 
 def _emit_complete_base(remaining, paths):
-    # All parts have one vertex left: a clique, covered by 2-paths in index
-    # order; an odd count reuses the second-to-last vertex.
-    verts = sorted(vs[0] for vs in remaining if vs)
+    # All parts have one vertex left, the last of its block: a clique, covered
+    # by 2-paths in index order; an odd count reuses the second-to-last vertex.
+    verts = [vs[0] for vs in remaining if vs]
     for k in range(len(verts) // 2):
         paths.append((verts[2 * k], verts[2 * k + 1]))
     if len(verts) % 2 == 1:
@@ -60,13 +60,9 @@ def _emit_221_base(remaining, ranked, paths):
 
 
 def _emit_table_base(remaining, ranked, paths):
-    key = tuple(size for size, _ in ranked)
-    base = base_cover_lookup(FAMILY_MULTIPARTITE, key)
-    offsets = PartiteSpec(key).part_offsets()
-    translate = {}
-    for rank, (size, part) in enumerate(ranked):
-        for o in range(size):
-            translate[offsets[rank] + o] = remaining[part][o]
+    # the key does not increase, so the base graph numbers its parts by rank
+    base = base_cover_lookup(FAMILY_MULTIPARTITE, tuple(size for size, _ in ranked))
+    translate = [v for _, part in ranked for v in remaining[part]]
     for p in base.paths:
         paths.append(tuple(translate[v] for v in p))
 

@@ -111,15 +111,14 @@ def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> Verify
     covered = set()
     incidences = 0
     for verts in c.paths:
-        in_range = all(0 <= v < g.n for v in verts)
+        kept = [v for v in verts if 0 <= v < g.n]
+        incidences += len(kept)
+        covered.update(kept)
+        in_range = len(kept) == len(verts)
         simple = len(set(verts)) == len(verts)
         walk = in_range and all(g.has_edge(a, b) for a, b in zip(verts, verts[1:]))
         isometric = simple and walk and _is_shortest(g, verts)
         verdicts.append(PathVerdict(simple=simple, walk=walk, isometric=isometric))
-        for v in verts:
-            if 0 <= v < g.n:
-                incidences += 1
-                covered.add(v)
     uncovered = tuple(sorted(set(range(g.n)) - covered))
     valid = all(v.ok for v in verdicts) and not uncovered
     normal_form = None

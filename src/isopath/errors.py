@@ -31,7 +31,3 @@ class PoolBudgetError(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """Internal consistency check failed; indicates a bug, not bad input."""
-
-
-class FormulaConflictError(ConstructionError):
-    """Two applicable closed forms disagree on the same instance."""

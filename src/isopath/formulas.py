@@ -5,7 +5,7 @@ All arithmetic is exact integer arithmetic; ceilings are computed as
 """
 
 from ._record import Record
-from .errors import FormulaConflictError, InvalidSpecError
+from .errors import InvalidSpecError
 from .graph import HammingSpec, PartiteSpec
 
 CASE_DOMINANT_PART = "DOMINANT_PART"
@@ -32,25 +32,17 @@ def ip_multipartite(spec: PartiteSpec) -> FormulaResult:
     """Isometric path number of a complete multipartite graph (r >= 2).
 
     Cases are evaluated in the order DOMINANT_PART, MANY_ODD, BALANCED.
-    The first two conditions can hold simultaneously; the implementation
-    asserts the two closed forms agree there instead of assuming it, and
-    reports a formula conflict otherwise.
+    The first two conditions both hold only on K_{2k+1,1,...,1} with k
+    ones, where both closed forms give k + 1.
     """
     if spec.r < 2:
         raise InvalidSpecError("at least two parts are required")
     n = spec.n
     n1 = spec.sizes[0]
-    alpha = spec.alpha
-    dominant = 3 * n1 > 2 * n
-    many_odd = 3 * alpha > n
-    if dominant and many_odd and ceil_div(n1, 2) != ceil_div(n + alpha, 4):
-        raise FormulaConflictError(
-            f"sizes {spec.sizes}: dominant-part and many-odd forms disagree "
-            f"({ceil_div(n1, 2)} vs {ceil_div(n + alpha, 4)})"
-        )
-    if dominant:
+    if 3 * n1 > 2 * n:
         return FormulaResult(ceil_div(n1, 2), CASE_DOMINANT_PART)
-    if many_odd:
+    alpha = spec.alpha
+    if 3 * alpha > n:
         return FormulaResult(ceil_div(n + alpha, 4), CASE_MANY_ODD)
     return FormulaResult(ceil_div(n, 3), CASE_BALANCED)
 

@@ -234,7 +234,6 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
                 best = [entry[1] for entry in stack[1:]] + [i]
                 done = limit = depth
                 need = n - (limit - depth - 1) * max_len
-                slack_key = (limit - depth) << shift
                 continue
             if child.bit_count() < need:
                 continue

@@ -192,38 +192,34 @@ def _twin_key(g):
         nbrs = g.neighbors(v)
         by_open.setdefault(nbrs, []).append(v)
         by_closed.setdefault(tuple(sorted(nbrs + (v,))), []).append(v)
-    # no vertex has both an open and a closed twin, so the classes are disjoint
-    classes = [(False, c) for c in by_open.values() if len(c) > 1]
-    classes += [(True, c) for c in by_closed.values() if len(c) > 1]
+    # the classes are disjoint, and no swap of a closed class (a clique) with
+    # an open one (an independent set) is an automorphism
+    classes = [c for c in by_open.values() if len(c) > 1]
+    classes += [c for c in by_closed.values() if len(c) > 1]
     if not classes:
         return None
-    classes.sort(key=lambda kc: kc[1][0])
+    classes.sort()
     groups = []
-    for closed, members in classes:
+    for members in classes:
         for group in groups:
-            first_closed, first = group[0]
-            if (
-                first_closed == closed
-                and len(first) == len(members)
-                and _swap_is_automorphism(g, first, members)
-            ):
-                group.append((closed, members))
+            if len(group[0]) == len(members) and _swap_is_automorphism(g, group[0], members):
+                group.append(members)
                 break
         else:
-            groups.append([(closed, members)])
+            groups.append([members])
     singles = (1 << n) - 1
     terms = []  # (class mask, offset of its group's slots, bits per slot)
     offset = n
     for group in groups:
         # a class holding k vertices counts one in slot k of its group
         w = len(group).bit_length()
-        for _, members in group:
+        for members in group:
             cm = 0
             for v in members:
                 cm |= 1 << v
             singles &= ~cm
             terms.append((cm, offset, w))
-        offset += w * (len(group[0][1]) + 1)
+        offset += w * (len(group[0]) + 1)
 
     def canon(mask):
         key = mask & singles

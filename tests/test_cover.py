@@ -163,6 +163,15 @@ class TestVerifyCover:
         assert report.valid
         assert report.overlap == 2
 
+    def test_overlap_counts_only_in_range_incidences(self):
+        # 7 and -1 are skipped, the repeated 0 counts twice
+        report = verify_cover(Graph(2, [(0, 1)]), Cover(((0, 7, 0), (-1, 1))))
+        assert not report.valid
+        assert report.overlap == 1
+        assert report.uncovered == ()
+        verdicts = [(v.simple, v.walk, v.isometric) for v in report.path_verdicts]
+        assert verdicts == [(False, False, False), (True, False, False)]
+
 
 class TestNormalFormMode:
     def test_shared_3_path_endpoints_fail_strict_only(self):

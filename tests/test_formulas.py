@@ -72,9 +72,24 @@ class TestIpMultipartite:
             if 3 * n1 > 2 * n and 3 * alpha > n:
                 overlap += 1
                 assert ceil_div(n1, 2) == ceil_div(n + alpha, 4), sizes
-                # must not raise a FormulaConflictError either
+                # and dispatch must return without raising
                 ip_multipartite(spec)
         assert overlap > 0  # the region is not empty, e.g. (3, 1)
+
+    def test_cases_overlap_exactly_on_an_odd_part_and_ones(self):
+        # both conditions hold iff the sizes are (2k+1, 1, ..., 1) with k ones
+        overlap = 0
+        for sizes in sorted_partitions(40):
+            spec = PartiteSpec(sizes)
+            n, n1, alpha = spec.n, spec.sizes[0], spec.alpha
+            k = n1 // 2
+            shape = n1 % 2 == 1 and k >= 1 and spec.sizes == (n1,) + (1,) * k
+            assert (3 * n1 > 2 * n and 3 * alpha > n) == shape, sizes
+            if shape:
+                overlap += 1
+                result = ip_multipartite(spec)
+                assert (result.value, result.case_tag) == (k + 1, "DOMINANT_PART")
+        assert overlap == 13
 
     def test_lower_bound_respected_with_equality_iff_balanced(self):
         for sizes in sorted_partitions(14):
@@ -152,6 +167,10 @@ class TestLowerBounds:
     @pytest.mark.parametrize("sizes,value", [((2, 2), 2), ((3, 3, 2), 3), ((5, 1), 2)])
     def test_multipartite_bound_examples(self, sizes, value):
         assert ip_lower_bound_multipartite(PartiteSpec(sizes)) == value
+
+    def test_multipartite_bound_rejects_a_single_part(self):
+        with pytest.raises(InvalidSpecError):
+            ip_lower_bound_multipartite(PartiteSpec((5,)))
 
     def test_dominant_case_exceeds_the_bound(self):
         assert ip_multipartite(PartiteSpec((5, 1))).value == 3 > 2

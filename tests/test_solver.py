@@ -591,6 +591,8 @@ ORBIT_GRAPHS = {
     "K2xK4": make_hamming(HammingSpec((2, 4))),
     "K3,3,2": make_complete_multipartite(PartiteSpec((3, 3, 2))),
     "K3,1,1,1,1": make_complete_multipartite(PartiteSpec((3, 1, 1, 1, 1))),
+    # an open twin class {0, 1, 2} and a closed one {3, 4, 5} of equal size
+    "K3,1,1,1": make_complete_multipartite(PartiteSpec((3, 1, 1, 1))),
     "augmented K4,3": make_augmented_multipartite(
         PartiteSpec((4, 3)), [[(0, 2), (1, 3)], [(0, 1)]]
     ),
