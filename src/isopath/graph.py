@@ -7,7 +7,7 @@ block (largest part first), Hamming graphs use the mixed-radix rule
 significant.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
 from itertools import accumulate, product
 from math import prod
@@ -26,12 +26,17 @@ UNREACHABLE = -1
 # Lines of a graph file read as one block by ``parse_graph``.
 _BLOCK_LINES = 4096
 
+# A graph file whose problem line declares at least this many edges per
+# vertex names each vertex often enough that ``parse_graph`` looks its
+# vertex tokens up in a table of the n plain spellings, built once at
+# about the cost of three int conversions a vertex, instead of passing
+# each token through int.
+_TABLE_EDGES_PER_VERTEX = 4
+
 # Largest edge count of a graph that is generated or parsed; the vertex
 # count is held to it too, since a parsed graph may have isolated vertices.
 # Checked from the spec or the problem line, before anything is allocated.
 MAX_EDGES = 10**6
-
-_NO_NEIGHBORS = frozenset()
 
 
 def _check_size(n, m, error=InvalidSpecError):
@@ -39,12 +44,14 @@ def _check_size(n, m, error=InvalidSpecError):
         raise error(f"{n} vertices and {m} edges exceed the cap of {MAX_EDGES}")
 
 
-def _add_edges(sets, n, us, vs):
-    """Add the edges ``(us[i], vs[i])`` of an n-vertex graph to the adjacency
-    sets (a ``defaultdict(set)``).  The first edge out of range or a self-loop
-    raises OutOfRangeError or InvalidSpecError before any edge is added."""
+def _add_edges(lists, n, us, vs, in_range=False):
+    """Append the edges ``(us[i], vs[i])`` of an n-vertex graph to the
+    neighbour lists (a ``defaultdict(list)``), both ways round.  The first
+    edge out of range or a self-loop raises OutOfRangeError or
+    InvalidSpecError before any edge is added; ``in_range`` tells that every
+    end is known to lie in [0, n)."""
     if us and (
-        min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n
+        not in_range and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n)
         or any(map(eq, us, vs))
     ):
         for u, v in zip(us, vs):
@@ -52,9 +59,8 @@ def _add_edges(sets, n, us, vs):
                 raise OutOfRangeError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InvalidSpecError(f"self-loop at vertex {u}")
-    for u, v in zip(us, vs):
-        sets[u].add(v)
-        sets[v].add(u)
+    deque(map(list.append, map(lists.__getitem__, us), vs), 0)
+    deque(map(list.append, map(lists.__getitem__, vs), us), 0)
 
 
 class Graph:
@@ -68,29 +74,26 @@ class Graph:
     of the two families answer adjacency from their spec instead.
     """
 
-    __slots__ = ("n", "m", "_adj", "_nbr", "_labels")
+    __slots__ = ("n", "m", "_adj", "_labels")
 
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
             raise InvalidSpecError("vertex count must be nonnegative")
         edges = list(edges)
-        sets = defaultdict(set)
-        _add_edges(sets, n, [u for u, _ in edges], [v for _, v in edges])
-        self._fill(n, sets, labels)
+        lists = defaultdict(list)
+        _add_edges(lists, n, [u for u, _ in edges], [v for _, v in edges])
+        self._fill(n, lists, labels)
 
-    def _fill(self, n, sets, labels):
-        """Store the graph whose vertex v has the neighbour set ``sets[v]``
-        (none where v is absent)."""
-        # isolated vertices share one empty tuple and one empty set
+    def _fill(self, n, lists, labels):
+        """Store the graph whose vertex v has the neighbours ``lists[v]``, in
+        any order and with repeats (none where v is absent)."""
+        # one sorted tuple per vertex; isolated vertices share one empty tuple
         adj = [()] * n
-        nbr = [_NO_NEIGHBORS] * n
-        for v, s in sets.items():
-            adj[v] = tuple(sorted(s))
-            nbr[v] = s
+        for v, ends in lists.items():
+            adj[v] = tuple(sorted(set(ends)))
         self.n = n
-        self.m = sum(map(len, sets.values())) // 2
+        self.m = sum(map(len, adj)) // 2
         self._adj = adj
-        self._nbr = nbr
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -105,7 +108,11 @@ class Graph:
         return self._adj[v]
 
     def has_edge(self, u, v):
-        return 0 <= u < self.n and v in self._nbr[u]
+        if not 0 <= u < self.n:
+            return False
+        nbrs = self._adj[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def edges(self):
         """Yield edges (u, v) with u < v in lexicographic order."""
@@ -448,9 +455,12 @@ def _read_lines(lines, lineno, header, us, vs):
     return header
 
 
-def _edge_block(lines):
-    """The ends (us, vs) of the edges of ``lines`` if every line starts with
-    ``e`` and is an ``e <u> <v>`` record, else None."""
+def _edge_block(lines, names):
+    """The ends (us, vs, in_range) of the edges of ``lines`` if every line
+    starts with ``e`` and is an ``e <u> <v>`` record, else None.  ``names``
+    maps the plain spelling of each vertex to its int, or is None; if it
+    holds every token of the block, the ends are its ints and ``in_range``
+    is True, else every token goes through int."""
     k = len(lines)
     text = "\n".join(lines)
     tokens = text.split()
@@ -465,8 +475,14 @@ def _edge_block(lines):
         and tokens[0::3].count("e") == k
     ):
         return None
+    us, vs = tokens[1::3], tokens[2::3]
+    if names is not None:
+        try:
+            return list(map(names.__getitem__, us)), list(map(names.__getitem__, vs)), True
+        except KeyError:
+            pass  # a token in another spelling, or out of range
     try:
-        return list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
+        return list(map(int, us)), list(map(int, vs)), False
     except ValueError:
         return None
 
@@ -488,24 +504,30 @@ def parse_graph(text: str) -> Graph:
         header = _read_lines(lines[start:start + 1], start + 1, None, [], [])
         start += 1
     n, m = header
-    sets = defaultdict(set)
+    # the edges that name a vertex share the one int of its table entry; a
+    # file has no more edges than lines left, whatever its problem line says
+    names = None
+    if _TABLE_EDGES_PER_VERTEX * n <= min(m, len(lines) - start):
+        names = dict(zip(map(str, range(n)), range(n)))
+    lists = defaultdict(list)
     count = 0
     error = None
     # After the problem line, a block of lines that are all edge records
-    # goes through C-level split and int conversion; any other block goes
-    # through the line reader, which skips comments and blanks and raises
-    # the error of its first bad line.
+    # goes through C-level split, token conversion and list appends; any
+    # other block goes through the line reader, which skips comments and
+    # blanks and raises the error of its first bad line.
     for start in range(start, len(lines), _BLOCK_LINES):
         block = lines[start:start + _BLOCK_LINES]
-        ends = _edge_block(block)
+        ends = _edge_block(block, names)
         if ends is None:
-            ends = [], []
-            _read_lines(block, start + 1, header, *ends)
+            us, vs = [], []
+            _read_lines(block, start + 1, header, us, vs)
+            ends = us, vs, False
         count += len(ends[0])
         # past m edges the count check fails anyway: stop storing them
         if error is None and count <= m:
             try:
-                _add_edges(sets, n, *ends)
+                _add_edges(lists, n, *ends)
             except (OutOfRangeError, InvalidSpecError) as exc:
                 error = exc
     if count != m:
@@ -515,7 +537,7 @@ def parse_graph(text: str) -> Graph:
     if error is not None:
         raise FormatError(str(error)) from error
     g = Graph.__new__(Graph)
-    g._fill(n, sets, None)
+    g._fill(n, lists, None)
     if g.m != m:
         raise FormatError(f"problem line declares {m} edges, file has {g.m} distinct")
     return g

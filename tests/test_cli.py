@@ -415,7 +415,7 @@ class TestPoolInputs:
 
     # n > isqrt(POOL_CAP) = 3,162 is rejected from n alone, before the n^2
     # distances (80 MB of list slots at n = 3,163, 80 GB at n = 10^5); what
-    # is left is the parse, about 48 MB of adjacency at n = 10^5
+    # is left is the parse, about 35 MB at n = 10^5
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     @pytest.mark.parametrize("n, peak_mb", [(3_163, 8), (100_000, 64)])
     def test_a_graph_past_the_root_of_the_cap_exits_1_before_its_distances(

@@ -387,6 +387,31 @@ class TestGraphTextFormat:
         # all its tokens
         assert peak <= 28_000_000
 
+    def test_a_file_short_of_its_edges_builds_no_spelling_table(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                parse_graph("p 250000 1000000\ne 0 1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "problem line declares 1000000 edges, file has 1"
+        # a table of 250,000 spellings takes about 29 MB
+        assert peak < 1_000_000
+
+    def test_parsed_graph_keeps_one_tuple_per_vertex(self):
+        text = format_graph(make_complete_multipartite(PartiteSpec((300, 200, 100))))
+        tracemalloc.start()
+        try:
+            g = parse_graph(text)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == 110_000
+        # 220,000 tuple slots of 8 bytes, 600 tuple heads and the list of
+        # them: 1.8 MB; a neighbour set per vertex would add 16 MB
+        assert size < 2_500_000
+
 
 def line_by_line_parse(text):
     """The line-by-line parser that ``parse_graph`` reads blocks in place of,
@@ -493,18 +518,23 @@ class TestParseMatchesLineByLine:
     def test_same_graph_or_same_error(self, text):
         want = parse_or_error(line_by_line_parse, text)
         # blocks of 1 to 3 lines put block ends everywhere and mix edge
-        # lines with others in one block
-        for block_lines in (1, 2, 3, graph_module._BLOCK_LINES):
-            saved = graph_module._BLOCK_LINES
+        # lines with others in one block; the vertex tokens of every file
+        # go through the spelling table (switch 0), through int alone
+        # (MAX_EDGES + 1) and as the default switch picks
+        saved = graph_module._BLOCK_LINES, graph_module._TABLE_EDGES_PER_VERTEX
+        for block_lines, switch in product(
+            (1, 2, 3, saved[0]), (0, saved[1], MAX_EDGES + 1)
+        ):
             graph_module._BLOCK_LINES = block_lines
+            graph_module._TABLE_EDGES_PER_VERTEX = switch
             try:
                 got = parse_or_error(parse_graph, text)
             finally:
-                graph_module._BLOCK_LINES = saved
+                graph_module._BLOCK_LINES, graph_module._TABLE_EDGES_PER_VERTEX = saved
             if isinstance(got, Graph):
                 neighbors = {v: got.neighbors(v) for v in range(got.n) if got.neighbors(v)}
                 got = got.n, got.m, neighbors
-            assert got == want, block_lines
+            assert got == want, (block_lines, switch)
 
 
 def explicit_family_graph(spec):
@@ -577,6 +607,25 @@ class TestGraphInvariants:
             assert u not in nbrs
             for v in nbrs:
                 assert u in g.neighbors(v)
+
+    def test_repeated_edges_are_stored_once(self):
+        g = Graph(3, [(0, 1), (1, 0), (0, 1)])
+        assert g.m == 1
+        assert [g.neighbors(v) for v in range(3)] == [(1,), (0,), ()]
+        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert not g.has_edge(0, 2) and not g.has_edge(2, 0)
+
+    def test_has_edge_past_the_ends_of_a_neighbour_tuple(self):
+        # vertex 5 has no neighbour; 0 and 4 have one, at each end of the range
+        g = parse_graph("p 6 4\ne 0 4\ne 1 2\ne 2 3\ne 3 1\n")
+        for u in range(g.n):
+            for v in (-5, g.n, g.n + 7):
+                assert not g.has_edge(u, v)
+        for v in range(-5, g.n + 8):
+            assert not g.has_edge(5, v)
+            assert not g.has_edge(v, 5)
+        assert [v for v in range(g.n) if g.has_edge(0, v)] == [4]
+        assert [v for v in range(g.n) if g.has_edge(4, v)] == [0]
 
     def test_isolated_vertices_share_storage(self):
         tracemalloc.start()
