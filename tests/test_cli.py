@@ -163,6 +163,37 @@ class TestGen:
         text = dot.read_text()
         assert text.startswith("graph") and text.rstrip().endswith("}")
 
+    @pytest.mark.parametrize(
+        "spec,labels,edges",
+        [
+            (
+                ["--hamming", "2,3"],
+                ["(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)", "(1,2)"],
+                "0 1,0 2,0 3,1 2,1 4,2 5,3 4,3 5,4 5",
+            ),
+            (
+                ["--multipartite", "1,2,1"],
+                ["0:0", "0:1", "1:0", "2:0"],
+                "0 2,0 3,1 2,1 3,2 3",
+            ),
+            # the part of 3 is numbered first and loses its pair 1-2
+            (
+                ["--augmented", "2,3", "--pairs", "0-1;1-2"],
+                ["0:0", "0:1", "0:2", "1:0", "1:1"],
+                "0 1,0 2,0 3,0 4,1 3,1 4,2 3,2 4",
+            ),
+        ],
+        ids=["hamming", "multipartite", "augmented"],
+    )
+    def test_dot_text_is_pinned(self, capsys, tmp_path, spec, labels, edges):
+        dot = tmp_path / "g.dot"
+        code, _, _ = run(capsys, "gen", *spec, "-o", str(tmp_path / "g.txt"), "--dot", str(dot))
+        assert code == 0
+        want = ["graph g {"]
+        want += [f'  {v} [label="{label}"];' for v, label in enumerate(labels)]
+        want += [f"  {e.replace(' ', ' -- ')};" for e in edges.split(",")]
+        assert dot.read_bytes() == ("\n".join(want) + "\n}\n").encode("ascii")
+
 
 class TestConstructVerify:
     @pytest.mark.parametrize(
@@ -236,7 +267,19 @@ class TestConstructVerify:
         run(capsys, "construct", "--hamming", "2,2", "-o", str(c))
         code, _, _ = run(capsys, "verify", "-g", str(g), "-c", str(c), "--dot", str(dot))
         assert code == 0
-        assert "color=" in dot.read_text()
+        # a parsed graph carries no labels: each vertex is named by its index
+        assert dot.read_bytes() == (
+            b"graph cover {\n"
+            b'  0 [label="0", color="red", style=bold];\n'
+            b'  1 [label="1", color="red", style=bold];\n'
+            b'  2 [label="2", color="blue", style=bold];\n'
+            b'  3 [label="3", color="blue", style=bold];\n'
+            b'  0 -- 1 [color="red", penwidth=2];\n'
+            b"  0 -- 2;\n"
+            b"  1 -- 3;\n"
+            b'  2 -- 3 [color="blue", penwidth=2];\n'
+            b"}\n"
+        )
 
     def test_escaped_exception_exits_3_on_one_line(self, capsys, monkeypatch):
         def overflow(*factors):
