@@ -10,6 +10,7 @@ grammar.
 import argparse
 import functools
 import sys
+from itertools import product
 
 from .construct import cover_hamming2, cover_hamming3, cover_multipartite
 from .cover import (
@@ -105,8 +106,19 @@ def _read_text(path):
             ) from None
 
 
-def _graph_dot(g: Graph, cover: Cover | None = None) -> str:
-    """Presentation-only DOT export; paths colored when a cover is given."""
+def _vertex_labels(spec):
+    """The display name of each vertex of the family graph of ``spec``: its
+    coordinate tuple (first coordinate most significant) for a HammingSpec,
+    else ``i:k``, the k-th vertex of part i (largest part first)."""
+    if isinstance(spec, HammingSpec):
+        coords = product(*map(range, spec.factors))
+        return ["(" + ",".join(map(str, c)) + ")" for c in coords]
+    return [f"{i}:{k}" for i, size in enumerate(spec.sizes) for k in range(size)]
+
+
+def _graph_dot(g: Graph, labels=None, cover: Cover | None = None) -> str:
+    """Presentation-only DOT export; vertex v is named ``labels[v]``, or v
+    when no labels are given, and paths are colored when a cover is given."""
     vertex_color = {}
     edge_color = {}
     if cover is not None:
@@ -118,7 +130,7 @@ def _graph_dot(g: Graph, cover: Cover | None = None) -> str:
                 edge_color.setdefault((min(a, b), max(a, b)), color)
     lines = ["graph cover {" if cover is not None else "graph g {"]
     for v in range(g.n):
-        label = g.labels[v] if g.labels else str(v)
+        label = labels[v] if labels else str(v)
         attrs = [f'label="{label}"']
         if v in vertex_color:
             attrs.append(f'color="{vertex_color[v]}"')
@@ -137,9 +149,11 @@ def _cmd_gen(args):
     if args.pairs is not None and args.augmented is None:
         raise InvalidSpecError("--pairs requires --augmented")
     if args.multipartite is not None:
-        g = make_complete_multipartite(PartiteSpec(_parse_sizes(args.multipartite)))
+        spec = PartiteSpec(_parse_sizes(args.multipartite))
+        g = make_complete_multipartite(spec)
     elif args.hamming is not None:
-        g = make_hamming(HammingSpec(_parse_sizes(args.hamming)))
+        spec = HammingSpec(_parse_sizes(args.hamming))
+        g = make_hamming(spec)
     else:
         sizes = _parse_sizes(args.augmented)
         spec = PartiteSpec(sizes)
@@ -152,7 +166,7 @@ def _cmd_gen(args):
         g = make_augmented_multipartite(spec, [groups[i] for i in order])
     _write_text(args.output, format_graph(g))
     if args.dot:
-        _write_text(args.dot, _graph_dot(g))
+        _write_text(args.dot, _graph_dot(g, _vertex_labels(spec)))
     return EXIT_OK
 
 
@@ -223,7 +237,7 @@ def _cmd_verify(args):
     for line in _report_lines(report):
         print(line)
     if args.dot:
-        _write_text(args.dot, _graph_dot(g, cover))
+        _write_text(args.dot, _graph_dot(g, cover=cover))
     return EXIT_OK if report.valid else EXIT_UNPROVEN
 
 

@@ -5,7 +5,7 @@ A path is a tuple of vertex indices claimed to be an isometric path.
 
 from ._record import Record
 from .errors import FormatError
-from .graph import Graph
+from .graph import Graph, _truncated
 
 
 class Cover(Record):
@@ -24,7 +24,7 @@ class Cover(Record):
         paths = tuple(tuple(map(int, p)) for p in given)
         if paths != given:
             for p, q in zip(given, paths):
-                if any(k != v and not isinstance(v, str) for v, k in zip(p, q)):
+                if _truncated(p, q):
                     raise ValueError(f"path {p} has a vertex that is not an integer")
         if not all(paths):
             raise ValueError("a path has at least one vertex")

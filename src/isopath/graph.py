@@ -9,7 +9,7 @@ significant.
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
-from itertools import accumulate, product
+from itertools import accumulate
 from math import prod
 from operator import eq, mul
 
@@ -44,6 +44,12 @@ def _check_size(n, m, error=InvalidSpecError):
         raise error(f"{n} vertices and {m} edges exceed the cap of {MAX_EDGES}")
 
 
+def _truncated(given, ints):
+    """True iff ``ints``, the ``int`` of each value of ``given``, changed a
+    value other than a string: a fraction, say, which ``int`` truncates."""
+    return any(k != v and not isinstance(v, str) for v, k in zip(given, ints))
+
+
 def _add_edges(lists, n, us, vs, in_range=False):
     """Append the edges ``(us[i], vs[i])`` of an n-vertex graph to the
     neighbour lists (a ``defaultdict(list)``), both ways round.  The first
@@ -67,24 +73,22 @@ class Graph:
     """Simple undirected graph, immutable after construction.
 
     Adjacency lists are sorted, symmetric, loop-free and duplicate-free.
-    ``labels`` is an optional per-vertex display string (coordinate tuples
-    for Hamming graphs, ``part:offset`` for multipartite graphs).
 
     This class stores its edges (parsed and augmented graphs); the graphs
     of the two families answer adjacency from their spec instead.
     """
 
-    __slots__ = ("n", "m", "_adj", "_labels")
+    __slots__ = ("n", "m", "_adj")
 
-    def __init__(self, n, edges=(), labels=None):
+    def __init__(self, n, edges=()):
         if n < 0:
             raise InvalidSpecError("vertex count must be nonnegative")
         edges = list(edges)
         lists = defaultdict(list)
         _add_edges(lists, n, [u for u, _ in edges], [v for _, v in edges])
-        self._fill(n, lists, labels)
+        self._fill(n, lists)
 
-    def _fill(self, n, lists, labels):
+    def _fill(self, n, lists):
         """Store the graph whose vertex v has the neighbours ``lists[v]``, in
         any order and with repeats (none where v is absent)."""
         # one sorted tuple per vertex; isolated vertices share one empty tuple
@@ -94,15 +98,6 @@ class Graph:
         self.n = n
         self.m = sum(map(len, adj)) // 2
         self._adj = adj
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise InvalidSpecError("labels length must equal vertex count")
-        self._labels = labels
-
-    @property
-    def labels(self):
-        return self._labels
 
     def neighbors(self, v):
         return self._adj[v]
@@ -129,24 +124,15 @@ class _HammingGraph(Graph):
     """K_{n1} x ... x K_{nr}: two vertices are adjacent iff their mixed-radix
     coordinates differ in exactly one place.  No edge is stored."""
 
-    __slots__ = ("_factors", "_axes")
+    __slots__ = ("_axes",)
 
     def __init__(self, spec):
-        self._factors = spec.factors
         self.n = spec.n
         self.m = self.n * sum(f - 1 for f in spec.factors) // 2
-        self._labels = None
         # (stride, stride * size) of each axis, the most significant first:
         # v % stride holds the digits below the axis, v // (stride * size)
         # the digits above it
         self._axes = tuple((s, s * f) for s, f in zip(spec.strides, spec.factors))
-
-    @property
-    def labels(self):
-        if self._labels is None:
-            coords = product(*(range(f) for f in self._factors))
-            self._labels = tuple(format_coordinates(c) for c in coords)
-        return self._labels
 
     def neighbors(self, v):
         # A lower value on an axis moves v by less than one stride of the
@@ -184,15 +170,6 @@ class _MultipartiteGraph(Graph):
         self._offsets = spec.part_offsets()
         n = self.n = spec.n
         self.m = (n * n - sum(s * s for s in spec.sizes)) // 2
-        self._labels = None
-
-    @property
-    def labels(self):
-        if self._labels is None:
-            self._labels = tuple(
-                f"{i}:{k}" for i, size in enumerate(self._sizes) for k in range(size)
-            )
-        return self._labels
 
     def neighbors(self, v):
         # every vertex outside the part block holding v
@@ -215,7 +192,10 @@ class PartiteSpec(Record):
     __slots__ = ("sizes",)
 
     def __init__(self, sizes):
-        given = tuple(int(s) for s in sizes)
+        sizes = tuple(sizes)
+        given = tuple(map(int, sizes))
+        if _truncated(sizes, given):
+            raise InvalidSpecError(f"part sizes must be integers: {sizes}")
         if not given:
             raise InvalidSpecError("at least one part is required")
         if any(s < 1 for s in given):
@@ -275,7 +255,10 @@ class HammingSpec(Record):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        given = tuple(int(f) for f in factors)
+        factors = tuple(factors)
+        given = tuple(map(int, factors))
+        if _truncated(factors, given):
+            raise InvalidSpecError(f"factors must be integers: {factors}")
         if not 1 <= len(given) <= 3:
             raise InvalidSpecError(f"1 to 3 factors supported, got {len(given)}")
         if any(f < 2 for f in given):
@@ -368,7 +351,6 @@ def make_augmented_multipartite(spec: PartiteSpec, pairings) -> Graph:
     pairings = _validate_pairings(spec, pairings)
     n = spec.n
     _check_partite_size(n, n * (n - 1) // 2 - sum(s // 2 for s in spec.sizes))
-    labels = _MultipartiteGraph(spec).labels
     excluded = {
         (off + a, off + b)
         for off, pairs in zip(spec.part_offsets(), pairings)
@@ -377,7 +359,7 @@ def make_augmented_multipartite(spec: PartiteSpec, pairings) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in excluded
     ]
-    return Graph(n, edges, labels)
+    return Graph(n, edges)
 
 
 def make_hamming(spec: HammingSpec) -> Graph:
@@ -390,7 +372,10 @@ def make_hamming(spec: HammingSpec) -> Graph:
 
 def encode_coordinates(spec: HammingSpec, coords) -> int:
     """Mixed-radix vertex index of a coordinate tuple (first axis most significant)."""
-    coords = tuple(int(c) for c in coords)
+    given = tuple(coords)
+    coords = tuple(map(int, given))
+    if _truncated(given, coords):
+        raise OutOfRangeError(f"coordinates must be integers: {given}")
     if len(coords) != spec.r:
         raise OutOfRangeError(f"expected {spec.r} coordinates, got {len(coords)}")
     index = 0
@@ -406,10 +391,6 @@ def decode_coordinates(spec: HammingSpec, index: int):
     if not 0 <= index < spec.n:
         raise OutOfRangeError(f"vertex index {index} out of range [0,{spec.n})")
     return tuple(index // s % f for s, f in zip(spec.strides, spec.factors))
-
-
-def format_coordinates(coords) -> str:
-    return "(" + ",".join(str(c) for c in coords) + ")"
 
 
 def format_graph(g: Graph) -> str:
@@ -537,7 +518,7 @@ def parse_graph(text: str) -> Graph:
     if error is not None:
         raise FormatError(str(error)) from error
     g = Graph.__new__(Graph)
-    g._fill(n, lists, None)
+    g._fill(n, lists)
     if g.m != m:
         raise FormatError(f"problem line declares {m} edges, file has {g.m} distinct")
     return g

@@ -25,6 +25,7 @@ from isopath import (
     parse_graph,
 )
 from isopath import graph as graph_module
+from isopath.cli import _vertex_labels
 from isopath.graph import MAX_EDGES, sorted_partitions
 
 from conftest import spec_pairings
@@ -37,8 +38,8 @@ FAMILY_SWEEP = [
 ] + [PartiteSpec(sizes) for sizes in sorted_partitions(8)]
 
 
-# SHA-256 of the sweep's ``format_graph`` text and labels; any change to an
-# edge, its order or a label changes it.  The specs' reprs are not hashed:
+# SHA-256 of the sweep's ``format_graph`` text and the CLI's DOT labels; any
+# change to an edge, its order or a label changes it.  The specs' reprs are not hashed:
 # they are the test's own input, not the program's output.
 FAMILY_SWEEP_SHA256 = (
     "8f007fc79ece5f7e4e9bd2026f8c198e2fb93ad37106563ac5e62073d80ee73d"
@@ -154,8 +155,9 @@ class TestCompleteMultipartite:
         assert g.m == cross_part_pairs((3, 3, 2)) == 21
 
     def test_part_blocks_and_labels(self):
-        g = make_complete_multipartite(PartiteSpec((3, 2)))
-        assert g.labels == ("0:0", "0:1", "0:2", "1:0", "1:1")
+        spec = PartiteSpec((2, 3))
+        g = make_complete_multipartite(spec)
+        assert _vertex_labels(spec) == ["0:0", "0:1", "0:2", "1:0", "1:1"]
         assert not g.has_edge(0, 1)
         assert g.has_edge(0, 3)
 
@@ -241,9 +243,9 @@ class TestHamming:
         assert all(len(g.neighbors(v)) == 4 for v in range(9))
 
     def test_labels_are_coordinate_tuples(self):
-        g = make_hamming(HammingSpec((2, 3)))
-        assert g.labels[0] == "(0,0)"
-        assert g.labels[5] == "(1,2)"
+        labels = _vertex_labels(HammingSpec((2, 3)))
+        assert labels[0] == "(0,0)"
+        assert labels[5] == "(1,2)"
 
     def test_adjacency_is_single_coordinate_change(self):
         spec = HammingSpec((2, 3, 4))
@@ -352,12 +354,12 @@ class TestGraphTextFormat:
         assert format_graph(g) == "p 2 1\ne 0 1\n"
 
     def test_family_sweep_is_byte_stable(self):
-        """``format_graph`` and the labels of every graph of FAMILY_SWEEP."""
+        """``format_graph`` and the DOT labels of every graph of FAMILY_SWEEP."""
         digest = hashlib.sha256()
         for spec in FAMILY_SWEEP:
             g = family_graph(spec)
             digest.update(format_graph(g).encode("ascii"))
-            digest.update((" ".join(g.labels) + "\n").encode("ascii"))
+            digest.update((" ".join(_vertex_labels(spec)) + "\n").encode("ascii"))
         assert digest.hexdigest() == FAMILY_SWEEP_SHA256
 
     def test_comments_tolerated(self):
@@ -539,7 +541,8 @@ class TestParseMatchesLineByLine:
 
 def explicit_family_graph(spec):
     """The family graph with every edge listed, by brute force from the
-    coordinates (first one most significant) or the part blocks."""
+    coordinates (first one most significant) or the part blocks, and the
+    name of each vertex."""
     if isinstance(spec, HammingSpec):
         coords = list(product(*(range(f) for f in spec.factors)))
         labels = ["(" + ",".join(map(str, c)) + ")" for c in coords]
@@ -554,16 +557,16 @@ def explicit_family_graph(spec):
             return part[u] != part[v]
     n = len(labels)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adjacent(u, v)]
-    return Graph(n, edges, labels)
+    return Graph(n, edges), labels
 
 
 class TestFamilyGraphs:
     @pytest.mark.parametrize("spec", FAMILY_SWEEP, ids=spec_id)
     def test_matches_the_explicit_graph(self, spec):
         g = family_graph(spec)
-        want = explicit_family_graph(spec)
+        want, labels = explicit_family_graph(spec)
         assert (g.n, g.m) == (want.n, want.m)
-        assert g.labels == want.labels
+        assert _vertex_labels(spec) == labels
         assert list(g.edges()) == list(want.edges())
         for u in range(g.n):
             assert g.neighbors(u) == want.neighbors(u)
@@ -590,12 +593,6 @@ class TestFamilyGraphs:
             tracemalloc.stop()
         assert g.m == edges
         assert peak < 1_000_000
-
-    def test_labels_are_built_when_read(self):
-        g = make_hamming(HammingSpec((100, 100)))
-        assert g._labels is None
-        assert g.labels[-1] == "(99,99)"
-        assert g.labels is g.labels
 
 
 class TestGraphInvariants:
@@ -669,11 +666,6 @@ class TestGraphInvariants:
     [
         (lambda: Graph(-1), InvalidSpecError, "vertex count must be nonnegative"),
         (
-            lambda: Graph(2, [(0, 1)], labels=["a"]),
-            InvalidSpecError,
-            "labels length must equal vertex count",
-        ),
-        (
             lambda: make_augmented_multipartite(PartiteSpec((2, 2)), [[(0, 0)], [(0, 1)]]),
             InvalidPairingError,
             "part 0: degenerate pair (0,0)",
@@ -683,8 +675,27 @@ class TestGraphInvariants:
             OutOfRangeError,
             "expected 2 coordinates, got 1",
         ),
+        # int would truncate each of these fractions without a word
+        (
+            lambda: PartiteSpec((2.5, 1)),
+            InvalidSpecError,
+            "part sizes must be integers: (2.5, 1)",
+        ),
+        (
+            lambda: HammingSpec((2.9, 3)),
+            InvalidSpecError,
+            "factors must be integers: (2.9, 3)",
+        ),
+        (
+            lambda: encode_coordinates(HammingSpec((2, 3)), (0.5, 1.7)),
+            OutOfRangeError,
+            "coordinates must be integers: (0.5, 1.7)",
+        ),
     ],
-    ids=["negative-n", "labels-length", "degenerate-pair", "coordinate-count"],
+    ids=[
+        "negative-n", "degenerate-pair", "coordinate-count",
+        "fractional-part", "fractional-factor", "fractional-coordinate",
+    ],
 )
 def test_bad_library_input_raises_its_error(build, error, message):
     with pytest.raises(error) as info:
