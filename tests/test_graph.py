@@ -39,8 +39,8 @@ FAMILY_SWEEP = [
 
 
 # SHA-256 of the sweep's ``format_graph`` text and the CLI's DOT labels; any
-# change to an edge, its order or a label changes it.  The specs' reprs are not hashed:
-# they are the test's own input, not the program's output.
+# change to an edge, its order or a label changes it.  The specs' reprs are
+# not hashed: they are the test's own input, not the program's output.
 FAMILY_SWEEP_SHA256 = (
     "8f007fc79ece5f7e4e9bd2026f8c198e2fb93ad37106563ac5e62073d80ee73d"
 )
