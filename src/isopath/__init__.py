@@ -7,7 +7,6 @@ branch-and-bound oracle for small graphs, and certificate verification.
 from .base_covers import (
     FAMILY_HAMMING2,
     FAMILY_HAMMING3,
-    FAMILY_MULTIPARTITE,
     base_cover_lookup,
 )
 from .construct import (

@@ -1,23 +1,21 @@
-"""Built-in base covers backing the cover constructors.
+"""Built-in base covers backing the Hamming cover constructors.
 
 Covers live in the ``fixtures`` directory beside this module, one file
-per key named ``<family>_<sizes>.cover`` (multipartite keys sorted
-non-increasing, Hamming keys non-decreasing), all in the plain cover text
-format.  Multipartite entries were produced by the exact solver and
-frozen; Hamming entries are hand-entered coordinate tables kept in
-tools/make_fixtures.py, written out as vertex indices.  Every entry is
-re-verified against its graph at load time: it must be a valid cover of
-exactly the closed-form size.  Fixtures are never regenerated at runtime.
+per key named ``<family>_<sizes>.cover`` (``hamming2`` or ``hamming3``,
+factors non-decreasing), in the plain cover text format.  They are
+hand-entered coordinate tables kept in tools/make_fixtures.py, written out
+as vertex indices.  Every entry is re-verified against its graph at load
+time: it must be a valid cover of exactly the closed-form size.  Fixtures
+are never regenerated at runtime.
 """
 
 import os
 
 from .cover import Cover, parse_cover, verify_cover
 from .errors import ConstructionError, UnknownCoverKeyError
-from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
-from .graph import HammingSpec, PartiteSpec, make_complete_multipartite, make_hamming
+from .formulas import ip_hamming2, ip_hamming3
+from .graph import HammingSpec, make_hamming
 
-FAMILY_MULTIPARTITE = "multipartite"
 FAMILY_HAMMING2 = "hamming2"
 FAMILY_HAMMING3 = "hamming3"
 
@@ -27,22 +25,14 @@ _TABLE = None
 
 
 def canonical_key(family: str, key) -> tuple:
-    sizes = tuple(int(s) for s in key)
-    if family == FAMILY_MULTIPARTITE:
-        return tuple(sorted(sizes, reverse=True))
-    if family in (FAMILY_HAMMING2, FAMILY_HAMMING3):
-        return tuple(sorted(sizes))
-    raise UnknownCoverKeyError(family)
+    if family not in (FAMILY_HAMMING2, FAMILY_HAMMING3):
+        raise UnknownCoverKeyError(family)
+    return tuple(sorted(int(s) for s in key))
 
 
 def _verify_entry(family, key, cover):
-    if family == FAMILY_MULTIPARTITE:
-        graph = make_complete_multipartite(PartiteSpec(key))
-        expected = ip_multipartite(PartiteSpec(key)).value
-    else:
-        graph = make_hamming(HammingSpec(key))
-        expected = (ip_hamming2 if family == FAMILY_HAMMING2 else ip_hamming3)(*key).value
-    report = verify_cover(graph, cover)
+    expected = (ip_hamming2 if family == FAMILY_HAMMING2 else ip_hamming3)(*key).value
+    report = verify_cover(make_hamming(HammingSpec(key)), cover)
     if not report.valid:
         raise ConstructionError(
             f"base cover {family} {key} failed verification "
@@ -62,7 +52,7 @@ def _load_table():
     for name in names:
         stem = name[: -len(".cover")]
         family, _, size_part = stem.partition("_")
-        if family not in (FAMILY_MULTIPARTITE, FAMILY_HAMMING2, FAMILY_HAMMING3):
+        if family not in (FAMILY_HAMMING2, FAMILY_HAMMING3):
             raise ConstructionError(f"unknown fixture family in {name!r}")
         key = tuple(int(tok) for tok in size_part.split("-"))
         with open(os.path.join(_FIXTURES, name), encoding="ascii") as handle:

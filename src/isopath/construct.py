@@ -1,11 +1,12 @@
 """Explicit optimal cover construction for both graph families.
 
-Multipartite covers come from a peel loop: it takes off one isometric
-3-path at a time, chosen by the active case, then finishes from a base
-cover.  Hamming covers come from a box-tiling loop: a box (a product of
-coordinate ranges, a distance-invariant induced subgraph) is either a key
-of the built-in base-cover table or is cut into smaller boxes by the
-family's split rule.
+Multipartite covers come from one peel loop and no table: it takes off
+one isometric 3-path at a time, each lowering the closed form of the
+counts left by one, then covers the clique of the last vertices.  Hamming
+covers come from a box-tiling loop: a box (a product of coordinate
+ranges, a distance-invariant induced subgraph) is either a key of the
+built-in base-cover table or is cut into smaller boxes by the family's
+split rule.
 
 Tie-breaking everywhere is "lowest available index" so identical inputs
 produce byte-identical covers.
@@ -16,123 +17,81 @@ from operator import mul
 from .base_covers import (
     FAMILY_HAMMING2,
     FAMILY_HAMMING3,
-    FAMILY_MULTIPARTITE,
     base_cover_lookup,
     base_cover_table,
 )
 from .cover import Cover
-from .errors import ConstructionError
-from .formulas import (
-    CASE_DOMINANT_PART, CASE_MANY_ODD, ip_hamming2, ip_hamming3, ip_multipartite,
-)
+from .errors import ConstructionError, UnknownCoverKeyError
+from .formulas import ip_hamming2, ip_hamming3, ip_multipartite, ip_multipartite_counts
 from .graph import HammingSpec, PartiteSpec, decode_coordinates
 
 
 # --- multipartite construction -------------------------------------------
 
 
-def _emit_dominant_base(remaining, ranked, paths):
-    # K_{n1,1}: pair up the big part through the singleton hub.
-    big = remaining[ranked[0][1]]
-    hub = remaining[ranked[1][1]][0]
-    for k in range(len(big) // 2):
-        paths.append((big[2 * k], hub, big[2 * k + 1]))
-    if len(big) % 2 == 1:
-        paths.append((big[-1], hub))
-
-
-def _emit_complete_base(remaining, paths):
-    # All parts have one vertex left, the last of its block: a clique, covered
-    # by 2-paths in index order; an odd count reuses the second-to-last vertex.
-    verts = [vs[0] for vs in remaining if vs]
+def _emit_complete_base(verts, paths):
+    # The last vertex of each part left: a clique, covered by 2-paths in
+    # index order; an odd count reuses the second-to-last vertex.
     for k in range(len(verts) // 2):
         paths.append((verts[2 * k], verts[2 * k + 1]))
     if len(verts) % 2 == 1:
         paths.append((verts[-2], verts[-1]))
 
 
-def _emit_221_base(remaining, ranked, paths):
-    a1, a2 = remaining[ranked[0][1]][:2]
-    b = remaining[ranked[1][1]][0]
-    c = remaining[ranked[2][1]][0]
-    paths.append((a1, b, a2))
-    paths.append((b, c))
-
-
-def _emit_table_base(remaining, ranked, paths):
-    # the key does not increase, so the base graph numbers its parts by rank
-    base = base_cover_lookup(FAMILY_MULTIPARTITE, tuple(size for size, _ in ranked))
-    translate = [v for _, part in ranked for v in remaining[part]]
-    for p in base.paths:
-        paths.append(tuple(translate[v] for v in p))
+def _value(left):
+    """The closed form on the vertices left in each part."""
+    return ip_multipartite_counts(sum(left), max(left), sum(k % 2 for k in left)).value
 
 
 def cover_multipartite(spec: PartiteSpec) -> Cover:
     """Valid cover of make_complete_multipartite(spec) with exactly
-    ip_multipartite(spec).value paths, in normal form."""
-    expected = ip_multipartite(spec).value
-    offsets = spec.part_offsets()
-    remaining = [
-        list(range(off, off + size)) for off, size in zip(offsets, spec.sizes)
-    ]
-    paths = []
-    run_case = None
-    while True:
-        active = [(len(vs), idx) for idx, vs in enumerate(remaining) if vs]
-        ranked = sorted(active, key=lambda t: (-t[0], t[1]))
-        sizes_now = tuple(size for size, _ in ranked)
-        if len(sizes_now) == 1:
-            raise ConstructionError(f"reduction of {spec.sizes} left one part")
-        cur = PartiteSpec(sizes_now)
-        case = ip_multipartite(cur).case_tag
-        # the reduction proofs keep the case constant along the whole run
-        if run_case is not None and case != run_case:
-            raise ConstructionError(
-                f"case flipped from {run_case} to {case} at sizes {sizes_now}"
-            )
-        run_case = case
-        n, n1, alpha = cur.n, sizes_now[0], cur.alpha
+    ip_multipartite(spec).value paths, in normal form.
 
-        if case == CASE_DOMINANT_PART:
-            if n - n1 == 1:
-                _emit_dominant_base(remaining, ranked, paths)
+    Each step peels the first two vertices left in the largest part through
+    a middle in another part.  The middle is the next vertex of the
+    smallest donor part after which the closed form of the counts left is
+    one lower, or else the first vertex, already covered, of the first part
+    that has lost one.  The vertices left at the end, one in each part,
+    form a clique."""
+    expected = value = ip_multipartite(spec).value
+    sizes = spec.sizes
+    offsets = spec.part_offsets()
+    left = list(sizes)  # each part is used from the front
+    paths = []
+    s = max(left)
+    while s > 1:
+        big = left.index(s)
+        left[big] -= 2
+        for k in sorted({k for i, k in enumerate(left) if k and i != big}):
+            donor = next(i for i, c in enumerate(left) if c == k and i != big)
+            left[donor] -= 1
+            if _value(left) == value - 1:
+                middle = offsets[donor] + sizes[donor] - k
                 break
-            donor = ranked[1][1]
-        elif case == CASE_MANY_ODD:
-            if n == alpha:
-                _emit_complete_base(remaining, paths)
-                break
-            if sizes_now == (2, 1, 1):
-                _emit_221_base(remaining, ranked, paths)
-                break
-            odd_parts = [
-                idx
-                for size, idx in active
-                if size % 2 == 1 and idx != ranked[0][1]
-            ]
-            if not odd_parts:
-                raise ConstructionError(f"no odd donor part at sizes {sizes_now}")
-            donor = min(odd_parts)
-        else:  # BALANCED
-            if n <= 8:
-                _emit_table_base(remaining, ranked, paths)
-                break
-            odd_ranks = [
-                k for k in range(1, len(ranked)) if ranked[k][0] % 2 == 1
-            ]
-            donor = ranked[max(odd_ranks) if odd_ranks else len(ranked) - 1][1]
-        # peel two vertices of the largest part through one donor vertex
-        big = remaining[ranked[0][1]]
-        a1, a2 = big[:2]
-        del big[:2]
-        paths.append((a1, remaining[donor].pop(0), a2))
+            left[donor] += 1
+        else:
+            used = [i for i, k in enumerate(left) if k < sizes[i] and i != big]
+            if not used or _value(left) != value - 1:
+                raise ConstructionError(f"no peel lowers the formula at sizes {tuple(left)}")
+            middle = offsets[used[0]]
+        first = offsets[big] + sizes[big] - s
+        paths.append((first, middle, first + 1))
+        value -= 1
+        s = max(left)
+    last = [off + size - 1 for off, size, k in zip(offsets, sizes, left) if k]
+    if len(last) == 1:
+        # the one vertex left, joined to the first vertex of another part:
+        # part 1 if it lies in part 0, else part 0
+        paths.append((last[0], offsets[1] if last[0] < sizes[0] else 0))
+    else:
+        _emit_complete_base(last, paths)
     if len(paths) != expected:
         raise ConstructionError(
-            f"built {len(paths)} paths for sizes {spec.sizes}, formula says {expected}"
+            f"built {len(paths)} paths for sizes {sizes}, formula says {expected}"
         )
     return Cover(
         paths,
-        note=f"complete multipartite {','.join(str(s) for s in spec.sizes)}",
+        note=f"complete multipartite {','.join(str(s) for s in sizes)}",
     )
 
 
@@ -140,6 +99,8 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
 #
 # A split rule takes the sorted factors of a box that is not in the base
 # table and returns its sub-boxes as (factors, offsets) in that sorted frame.
+# It returns none for a base key that no split shrinks, so that a key lost
+# from the table is reported instead of split into itself forever.
 
 
 def _base_coord_paths(family, key):
@@ -171,8 +132,11 @@ def _tile(factors, rule):
                 tuple(start + sum(map(mul, v, steps)) for v in p) for p in bases[key]
             )
             continue
+        subs = rule(key)
+        if not subs:
+            raise UnknownCoverKeyError(f"{family} {key}")
         # reversed, so the first sub-box is popped, and emitted, first
-        for sub, shift in reversed(rule(key)):
+        for sub, shift in reversed(subs):
             stack.append((sub, steps, start + sum(map(mul, shift, steps))))
     return paths
 
@@ -194,6 +158,8 @@ def _h2_rule(key):
     a, b = key
     if b == 4:
         return [((a, 2), (0, 0)), ((a, 2), (0, 2))]
+    if b < 4:  # (2, 2), (2, 3) or (3, 3)
+        return []
     return [((a, 3), (0, 0)), ((a, b - 3), (0, 3))]
 
 
@@ -213,6 +179,8 @@ _H3_COMPOSITES = {
 
 def _h3_rule(key):
     a, b, c = key
+    if key == (2, 2, 2):
+        return []
     if a % 2 == 0 and b % 2 == 0 and c % 2 == 0:
         return [
             ((2, 2, 2), (i, j, k))

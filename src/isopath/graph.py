@@ -50,6 +50,23 @@ def _truncated(given, ints):
     return any(k != v and not isinstance(v, str) for v, k in zip(given, ints))
 
 
+def _integers(values, error, what):
+    """The ``int`` of each of ``values``.  Raises ``error`` ("``what`` must
+    be integers") when ``values`` is a string, when a value is neither a
+    number nor a numeric string, or when ``int`` would change a value (a
+    fraction, say)."""
+    ints = None
+    if not isinstance(values, str):
+        values = tuple(values)
+        try:
+            ints = tuple(map(int, values))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if ints is None or _truncated(values, ints):
+        raise error(f"{what} must be integers: {values!r}")
+    return ints
+
+
 def _add_edges(lists, n, us, vs, in_range=False):
     """Append the edges ``(us[i], vs[i])`` of an n-vertex graph to the
     neighbour lists (a ``defaultdict(list)``), both ways round.  The first
@@ -192,10 +209,7 @@ class PartiteSpec(Record):
     __slots__ = ("sizes",)
 
     def __init__(self, sizes):
-        sizes = tuple(sizes)
-        given = tuple(map(int, sizes))
-        if _truncated(sizes, given):
-            raise InvalidSpecError(f"part sizes must be integers: {sizes}")
+        given = _integers(sizes, InvalidSpecError, "part sizes")
         if not given:
             raise InvalidSpecError("at least one part is required")
         if any(s < 1 for s in given):
@@ -255,10 +269,7 @@ class HammingSpec(Record):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        factors = tuple(factors)
-        given = tuple(map(int, factors))
-        if _truncated(factors, given):
-            raise InvalidSpecError(f"factors must be integers: {factors}")
+        given = _integers(factors, InvalidSpecError, "factors")
         if not 1 <= len(given) <= 3:
             raise InvalidSpecError(f"1 to 3 factors supported, got {len(given)}")
         if any(f < 2 for f in given):
@@ -372,10 +383,7 @@ def make_hamming(spec: HammingSpec) -> Graph:
 
 def encode_coordinates(spec: HammingSpec, coords) -> int:
     """Mixed-radix vertex index of a coordinate tuple (first axis most significant)."""
-    given = tuple(coords)
-    coords = tuple(map(int, given))
-    if _truncated(given, coords):
-        raise OutOfRangeError(f"coordinates must be integers: {given}")
+    coords = _integers(coords, OutOfRangeError, "coordinates")
     if len(coords) != spec.r:
         raise OutOfRangeError(f"expected {spec.r} coordinates, got {len(coords)}")
     index = 0

@@ -13,6 +13,7 @@ from isopath import (
     PartiteSpec,
     base_covers,
     cli,
+    construct,
     format_graph,
     make_augmented_multipartite,
     solver,
@@ -295,9 +296,9 @@ class TestConstructVerify:
         # no input selects a key the table lacks, so a lost entry means a
         # damaged package, not invalid input
         table = dict(base_covers.base_cover_table())
-        del table[("multipartite", (2, 2, 2))]
+        del table[("hamming3", (2, 2, 2))]
         monkeypatch.setattr(base_covers, "_TABLE", table)
-        code, out, err = run(capsys, "construct", "--multipartite", "2,2,2")
+        code, out, err = run(capsys, "construct", "--hamming", "2,2,2")
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
@@ -310,8 +311,6 @@ class TestConstructVerify:
              "constructed cover failed verification"),
             (("hamming2", (2, 2)), [(0, 1), (2, 3), (0, 2)], ("--hamming", "2,2"),
              "built 3 paths for K_2 x K_2, formula says 2"),
-            (("multipartite", (2, 1)), [(0, 2), (2, 1)], ("--multipartite", "2,1"),
-             "built 2 paths for sizes (2, 1), formula says 1"),
         ],
     )
     def test_a_damaged_base_cover_is_an_internal_error(
@@ -326,6 +325,20 @@ class TestConstructVerify:
         assert code == 3
         assert out == ""
         assert err == f"internal error: {message}\n"
+
+    def test_a_damaged_complete_base_is_an_internal_error(self, capsys, monkeypatch):
+        # the multipartite constructor has no table; its one base, made to
+        # emit a path too many, is caught by the constructor's count
+        def one_path_too_many(verts, paths):
+            emit(verts, paths)
+            paths.append(paths[-1])
+
+        emit = construct._emit_complete_base
+        monkeypatch.setattr(construct, "_emit_complete_base", one_path_too_many)
+        code, out, err = run(capsys, "construct", "--multipartite", "3,1,1")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: built 3 paths for sizes (3, 1, 1), formula says 2\n"
 
     def test_construct_one_hamming_factor_exits_1(self, capsys):
         code, out, err = run(capsys, "construct", "--hamming", "5")

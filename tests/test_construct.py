@@ -33,7 +33,7 @@ from conftest import sorted_partitions
 # SHA-256 of the loaded base-cover table below; any change to a stored
 # key, path, path order or note changes it.
 BASE_TABLE_SHA256 = (
-    "e58dcfa045b3bf6b763a36ef5ff805d0bf6594804d5bb9e02e2de252bcbb74ac"
+    "f000cd89ffdc74b7046a45f8aad52aab08ebfcc3f1e4653c6c96e0c13a82c18d"
 )
 # The same digest over the Hamming entries alone.
 HAMMING_TABLE_SHA256 = (
@@ -57,7 +57,6 @@ class TestBaseCoverTable:
     def test_lookup_counts(self):
         assert len(base_cover_lookup("hamming3", (2, 3, 3)).paths) == 5
         assert len(base_cover_lookup("hamming2", (2, 3)).paths) == 2
-        assert len(base_cover_lookup("multipartite", (4, 2)).paths) == 2
 
     def test_keys_are_canonicalized(self):
         a = base_cover_lookup("hamming3", (3, 2, 3))
@@ -72,33 +71,11 @@ class TestBaseCoverTable:
 
     def test_every_entry_is_valid_and_formula_sized(self):
         for (family, key), cover in sorted(base_cover_table().items()):
-            if family == "multipartite":
-                g = make_complete_multipartite(PartiteSpec(key))
-                expected = ip_multipartite(PartiteSpec(key)).value
-                report = verify_cover(g, cover, strict_normal_form=True)
-                assert report.normal_form, (family, key)
-            elif family == "hamming2":
-                g = make_hamming(HammingSpec(key))
-                expected = ip_hamming2(*key).value
-                report = verify_cover(g, cover)
-            else:
-                g = make_hamming(HammingSpec(key))
-                expected = ip_hamming3(*key).value
-                report = verify_cover(g, cover)
+            formula = ip_hamming2 if family == "hamming2" else ip_hamming3
+            expected = formula(*key).value
+            report = verify_cover(make_hamming(HammingSpec(key)), cover)
             assert report.valid, (family, key)
             assert len(cover.paths) == expected, (family, key)
-
-    def test_multipartite_table_is_exactly_the_balanced_small_cases(self):
-        stored = {
-            key for family, key in base_cover_table() if family == "multipartite"
-        }
-        balanced = {
-            sizes
-            for sizes in sorted_partitions(8)
-            if ip_multipartite(PartiteSpec(sizes)).case_tag == "BALANCED"
-        }
-        assert stored == balanced
-        assert len(stored) == 24
 
     def test_table_is_byte_stable(self):
         assert _table_digest(base_cover_table().items()) == BASE_TABLE_SHA256
@@ -116,6 +93,19 @@ class TestBaseCoverTable:
         a = base_cover_lookup("hamming3", (3, 2, 3))
         assert a is base_cover_lookup("hamming3", (2, 3, 3))
         assert a is base_cover_table()[("hamming3", (2, 3, 3))]
+
+    def test_a_lost_key_raises_instead_of_looping(self, monkeypatch):
+        # no split rule turns a lost base key into itself or into smaller
+        # boxes without end; the constructor raises at once or builds a
+        # cover its count check rejects
+        full = base_cover_table()
+        for family, key in sorted(full):
+            table = dict(full)
+            del table[(family, key)]
+            monkeypatch.setattr(base_covers, "_TABLE", table)
+            build = cover_hamming2 if family == "hamming2" else cover_hamming3
+            with pytest.raises((UnknownCoverKeyError, ConstructionError)):
+                build(*key)
 
     @pytest.mark.parametrize(
         "files,message",
@@ -180,13 +170,16 @@ class TestCoverMultipartite:
         with pytest.raises(InvalidSpecError):
             cover_multipartite(PartiteSpec((3,)))
 
-    @pytest.mark.parametrize("sizes", sorted_partitions(10))
+    # n <= 20 includes specs with no donor at some step, which take the
+    # reused middle: (5, 1), (2, 2, 1) and (4, 2, 2), say
+    @pytest.mark.parametrize("sizes", sorted_partitions(20))
     def test_valid_formula_sized_normal_form(self, sizes):
         spec = PartiteSpec(sizes)
         g = make_complete_multipartite(spec)
         cover = cover_multipartite(spec)
         report = verify_cover(g, cover, strict_normal_form=True)
         assert report.valid, sizes
+        assert report.normal_form, sizes
         assert len(cover.paths) == ip_multipartite(spec).value
 
     def test_deterministic_serialization(self):
@@ -324,7 +317,7 @@ def test_hamming_sweep_is_byte_stable():
 # SHA-256 of the multipartite sweep below; any change to a constructed cover,
 # its path order or its note changes it.
 MULTIPARTITE_SWEEP_SHA256 = (
-    "76e2357457dcb26696bce8525d7cbd3929380e873949efd7257397eacc0188ca"
+    "85cf279c5f06cd13f9458d9a56e4a4ba61b0fef1e1d6cc2b955262e34961de1b"
 )
 
 

@@ -691,10 +691,36 @@ class TestGraphInvariants:
             OutOfRangeError,
             "coordinates must be integers: (0.5, 1.7)",
         ),
+        # int raises a bare ValueError on these, and a string would be
+        # read character by character
+        (
+            lambda: PartiteSpec(("x", 1)),
+            InvalidSpecError,
+            "part sizes must be integers: ('x', 1)",
+        ),
+        (
+            lambda: HammingSpec(("a", 2)),
+            InvalidSpecError,
+            "factors must be integers: ('a', 2)",
+        ),
+        (
+            lambda: encode_coordinates(HammingSpec((2, 3)), ("a", 0)),
+            OutOfRangeError,
+            "coordinates must be integers: ('a', 0)",
+        ),
+        (lambda: PartiteSpec("31"), InvalidSpecError, "part sizes must be integers: '31'"),
+        (lambda: HammingSpec("23"), InvalidSpecError, "factors must be integers: '23'"),
+        (
+            lambda: encode_coordinates(HammingSpec((2, 3)), "01"),
+            OutOfRangeError,
+            "coordinates must be integers: '01'",
+        ),
     ],
     ids=[
         "negative-n", "degenerate-pair", "coordinate-count",
         "fractional-part", "fractional-factor", "fractional-coordinate",
+        "text-part", "text-factor", "text-coordinate",
+        "string-sizes", "string-factors", "string-coordinates",
     ],
 )
 def test_bad_library_input_raises_its_error(build, error, message):

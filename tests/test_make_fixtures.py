@@ -1,4 +1,4 @@
-"""tools/make_fixtures.py rewrites the committed base-cover fixtures byte for byte."""
+"""tools/make_fixtures.py rewrites the committed Hamming base-cover fixtures byte for byte."""
 
 import importlib.util
 import os
@@ -17,7 +17,7 @@ def test_tool_rewrites_every_fixture_byte_identically(tmp_path, capsys):
     assert tool.main() == 0
     capsys.readouterr()
     names = sorted(os.listdir(FIXTURES))
-    assert len(names) == 37
+    assert len(names) == 13
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         with open(os.path.join(FIXTURES, name), "rb") as handle:

@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate the base-cover fixture files under src/isopath/fixtures/.
+"""Regenerate the Hamming base-cover fixture files under src/isopath/fixtures/.
 
-Hamming entries are hand-entered coordinate tables, kept here as the
+Each entry is a hand-entered coordinate table, kept here as the
 human-readable source (the starred 2x3x3 variant and the larger composites
-are expanded here before writing); they are written as vertex indices in
-the plain cover text format, like every fixture.  Multipartite entries are
-produced by the exact solver and normalized so that no two 3-vertex paths
-share an end vertex.  Every file is verified (validity plus closed-form
-size) before it is written; a failing entry aborts the run so a bad table
-can never be frozen.
+are expanded here before writing); it is written as vertex indices in the
+plain cover text format.  Every file is verified (validity plus
+closed-form size) before it is written; a failing entry aborts the run so
+a bad table can never be frozen.  No search is run: multipartite covers
+need no fixture, since the constructor's peel rule builds them whole.
 
 Run from the repository root after an editable install, or with the
 source tree on the path:
@@ -21,16 +20,8 @@ import sys
 from pathlib import Path as FsPath
 
 from isopath.cover import Cover, format_cover, verify_cover
-from isopath.formulas import CASE_BALANCED, ip_hamming2, ip_hamming3, ip_multipartite
-from isopath.graph import (
-    HammingSpec,
-    PartiteSpec,
-    encode_coordinates,
-    make_complete_multipartite,
-    make_hamming,
-    sorted_partitions,
-)
-from isopath.solver import solve_min_cover
+from isopath.formulas import ip_hamming2, ip_hamming3
+from isopath.graph import HammingSpec, encode_coordinates, make_hamming
 
 FIXTURE_DIR = FsPath(__file__).resolve().parent.parent / "src" / "isopath" / "fixtures"
 
@@ -191,75 +182,6 @@ H3_TABLES = {
     ),
 }
 
-# The small balanced-case covers the reduction bottoms out in; produced by
-# the solver, frozen here, never regenerated at runtime.
-BALANCED_BASE_KEYS = [
-    (2, 1),
-    (2, 2),
-    (3, 2),
-    (2, 2, 1),
-    (4, 2),
-    (4, 1, 1),
-    (3, 3),
-    (3, 2, 1),
-    (2, 2, 2),
-    (2, 2, 1, 1),
-    (4, 3),
-    (4, 2, 1),
-    (3, 2, 2),
-    (2, 2, 2, 1),
-    (5, 3),
-    (5, 2, 1),
-    (4, 4),
-    (4, 3, 1),
-    (4, 2, 2),
-    (4, 2, 1, 1),
-    (3, 3, 2),
-    (3, 2, 2, 1),
-    (2, 2, 2, 2),
-    (2, 2, 2, 1, 1),
-]
-
-
-def balanced_keys_up_to(limit):
-    """All size vectors with r >= 2, n <= limit in the ceil(n/3) case."""
-    return [
-        key
-        for key in sorted_partitions(limit)
-        if ip_multipartite(PartiteSpec(key)).case_tag == CASE_BALANCED
-    ]
-
-
-def normalize_multipartite(paths):
-    """Shrink later 3-vertex paths that share an end vertex with an earlier
-    one; the shared vertex stays covered by the earlier path."""
-    work = list(paths)
-    while True:
-        seen = set()
-        shrink_at = None
-        shared = None
-        for idx, p in enumerate(work):
-            if len(p) != 3:
-                continue
-            if p[0] in seen or p[-1] in seen:
-                shrink_at = idx
-                shared = p[0] if p[0] in seen else p[-1]
-                break
-            seen.update((p[0], p[-1]))
-        if shrink_at is None:
-            return work
-        p = work[shrink_at]
-        work[shrink_at] = p[1:] if p[0] == shared else p[:2]
-
-
-def check(cover, graph, expected, name, strict=False):
-    report = verify_cover(graph, cover, strict_normal_form=strict)
-    if not report.valid:
-        raise SystemExit(f"{name}: cover failed verification: {report}")
-    if len(cover.paths) != expected:
-        raise SystemExit(f"{name}: {len(cover.paths)} paths, expected {expected}")
-
-
 def write_hamming_fixtures():
     tables = [(key, table, []) for key, table in H2_TABLES.items()]
     tables += [(key, table, extra) for key, (table, extra) in H3_TABLES.items()]
@@ -268,7 +190,12 @@ def write_hamming_fixtures():
         closed_form = ip_hamming2 if len(key) == 2 else ip_hamming3
         spec = HammingSpec(key)
         cover = Cover([encode_coordinates(spec, v) for v in p] for p in table)
-        check(cover, make_hamming(spec), closed_form(*key).value, f"{family} {key}")
+        report = verify_cover(make_hamming(spec), cover)
+        if not report.valid:
+            raise SystemExit(f"{family} {key}: cover failed verification: {report}")
+        expected = closed_form(*key).value
+        if len(cover.paths) != expected:
+            raise SystemExit(f"{family} {key}: {len(cover.paths)} paths, expected {expected}")
         name = f"{family}_" + "-".join(str(s) for s in key) + ".cover"
         comments = [
             f"family: {family}",
@@ -281,43 +208,9 @@ def write_hamming_fixtures():
         print(f"wrote {name} ({len(cover.paths)} paths)")
 
 
-def write_multipartite_fixtures():
-    keys = balanced_keys_up_to(8)
-    if sorted(keys) != sorted(BALANCED_BASE_KEYS):
-        raise SystemExit(
-            f"balanced base keys changed: expected {sorted(BALANCED_BASE_KEYS)}, "
-            f"enumerated {sorted(keys)}"
-        )
-    for key in keys:
-        spec = PartiteSpec(key)
-        graph = make_complete_multipartite(spec)
-        expected = ip_multipartite(spec).value
-        result = solve_min_cover(graph)
-        if not result.proof_of_optimality:
-            raise SystemExit(f"multipartite {key}: solver budget exhausted")
-        if result.size != expected:
-            raise SystemExit(
-                f"multipartite {key}: solver found {result.size}, formula {expected}"
-            )
-        cover = Cover(normalize_multipartite(result.optimum.paths))
-        check(cover, graph, expected, f"multipartite {key}", strict=True)
-        name = "multipartite_" + "-".join(str(s) for s in key) + ".cover"
-        comments = [
-            "family: multipartite",
-            f"key: {','.join(str(s) for s in key)}",
-            f"paths: {len(cover.paths)}",
-            "source: exact branch-and-bound solver,",
-            "normalized so no two 3-vertex paths share an end vertex",
-        ]
-        text = format_cover(cover, comments=comments)
-        (FIXTURE_DIR / name).write_text(text, encoding="ascii")
-        print(f"wrote {name} ({len(cover.paths)} paths)")
-
-
 def main():
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     write_hamming_fixtures()
-    write_multipartite_fixtures()
     print(f"fixtures in {FIXTURE_DIR}")
     return 0
 
