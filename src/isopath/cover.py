@@ -45,6 +45,15 @@ class PathVerdict(Record):
         return self.simple and self.walk and self.isometric
 
 
+# verdicts are immutable, so verify_cover hands out one record per outcome
+_VERDICTS = {
+    (simple, walk, isometric): PathVerdict(simple, walk, isometric)
+    for simple in (False, True)
+    for walk in (False, True)
+    for isometric in (False, True)
+}
+
+
 class VerifyReport(Record):
     """Machine-checkable verdict on a (graph, cover) pair.
 
@@ -63,30 +72,6 @@ class VerifyReport(Record):
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "overlap", overlap)
         object.__setattr__(self, "normal_form", normal_form)
-
-
-def _is_shortest(g: Graph, verts) -> bool:
-    """True iff the simple walk ``verts`` is a shortest path of g.
-
-    A walk with k edges is one iff dist(start, end) >= k.  Its end is not
-    its start, so that holds iff no vertex within distance k-2 of the start
-    is adjacent to the end: only that ball is grown, never a full BFS row.
-    """
-    k = len(verts) - 1
-    if k <= 1:
-        return True
-    frontier = [verts[0]]
-    ball = set(frontier)
-    for _ in range(k - 2):
-        grown = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w not in ball:
-                    ball.add(w)
-                    grown.append(w)
-        frontier = grown
-    end = verts[-1]
-    return not any(g.has_edge(u, end) for u in ball)
 
 
 def _normal_form_ok(c: Cover) -> bool:
@@ -117,8 +102,10 @@ def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> Verify
         in_range = len(kept) == len(verts)
         simple = len(set(verts)) == len(verts)
         walk = in_range and all(g.has_edge(a, b) for a, b in zip(verts, verts[1:]))
-        isometric = simple and walk and _is_shortest(g, verts)
-        verdicts.append(PathVerdict(simple=simple, walk=walk, isometric=isometric))
+        # a simple walk with k edges is a shortest path iff d(start, end) >= k
+        k = len(verts) - 1
+        isometric = simple and walk and (k <= 1 or g._distance_at_least(verts[0], verts[-1], k))
+        verdicts.append(_VERDICTS[simple, walk, isometric])
     uncovered = tuple(sorted(set(range(g.n)) - covered))
     valid = all(v.ok for v in verdicts) and not uncovered
     normal_form = None

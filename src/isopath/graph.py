@@ -92,7 +92,8 @@ class Graph:
     Adjacency lists are sorted, symmetric, loop-free and duplicate-free.
 
     This class stores its edges (parsed and augmented graphs); the graphs
-    of the two families answer adjacency from their spec instead.
+    of the two families answer adjacency and distance from their spec
+    instead.
     """
 
     __slots__ = ("n", "m", "_adj")
@@ -125,6 +126,24 @@ class Graph:
         nbrs = self._adj[u]
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
+
+    def _distance_at_least(self, u, v, k):
+        """True iff d(u, v) >= k, for vertices u != v and k >= 2.
+
+        That holds iff no vertex within distance k-2 of u is adjacent to v:
+        only that ball is grown, never a full BFS row.
+        """
+        frontier = [u]
+        ball = set(frontier)
+        for _ in range(k - 2):
+            grown = []
+            for w in frontier:
+                for x in self.neighbors(w):
+                    if x not in ball:
+                        ball.add(x)
+                        grown.append(x)
+            frontier = grown
+        return not any(self.has_edge(w, v) for w in ball)
 
     def edges(self):
         """Yield edges (u, v) with u < v in lexicographic order."""
@@ -175,6 +194,10 @@ class _HammingGraph(Graph):
                 return True
         return False
 
+    def _distance_at_least(self, u, v, k):
+        # the distance is the number of coordinates in which u and v differ
+        return sum(u % span // stride != v % span // stride for stride, span in self._axes) >= k
+
 
 class _MultipartiteGraph(Graph):
     """Complete multipartite graph: two vertices are adjacent iff they lie in
@@ -198,6 +221,10 @@ class _MultipartiteGraph(Graph):
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False
         return bisect_right(self._offsets, u) != bisect_right(self._offsets, v)
+
+    def _distance_at_least(self, u, v, k):
+        # the distance is 1 across part blocks and 2 within one
+        return k <= 1 + (bisect_right(self._offsets, u) == bisect_right(self._offsets, v))
 
 
 class PartiteSpec(Record):

@@ -311,6 +311,10 @@ class TestConstructVerify:
              "constructed cover failed verification"),
             (("hamming2", (2, 2)), [(0, 1), (2, 3), (0, 2)], ("--hamming", "2,2"),
              "built 3 paths for K_2 x K_2, formula says 2"),
+            # two simple 3-edge walks that change the first coordinate twice:
+            # the right size, but not shortest paths of the cube
+            (("hamming3", (2, 2, 2)), [(0, 4, 6, 2), (1, 5, 7, 3)], ("--hamming", "2,2,2"),
+             "constructed cover failed verification"),
         ],
     )
     def test_a_damaged_base_cover_is_an_internal_error(

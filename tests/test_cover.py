@@ -12,6 +12,9 @@ from isopath import (
     Graph,
     HammingSpec,
     PartiteSpec,
+    cover_hamming2,
+    cover_hamming3,
+    cover_multipartite,
     encode_coordinates,
     format_cover,
     make_complete_multipartite,
@@ -19,6 +22,7 @@ from isopath import (
     parse_cover,
     verify_cover,
 )
+from isopath import graph as graph_module
 
 SPEC_33 = HammingSpec((3, 3))
 SPEC_222 = HammingSpec((2, 2, 2))
@@ -140,6 +144,54 @@ class TestVerifyCover:
         assert verdict.simple and verdict.walk
         k = len(walk) - 1
         assert verdict.isometric == (nx.shortest_path_length(reference, walk[0], walk[-1]) == k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_family_verdict_matches_networkx(self, data):
+        # A random simple walk of up to 8 edges along a family graph's
+        # neighbours.  A Hamming walk with more edges than factors changes
+        # some coordinate twice, and a multipartite walk of 3 edges or more
+        # passes some part twice, so non-isometric walks are drawn as well.
+        side = st.integers(min_value=2, max_value=4)
+        if data.draw(st.booleans()):
+            g = make_hamming(HammingSpec(data.draw(st.lists(side, min_size=1, max_size=3))))
+        else:
+            sizes = data.draw(st.lists(side | st.just(1), min_size=2, max_size=4))
+            g = make_complete_multipartite(PartiteSpec(sizes))
+        walk = [data.draw(st.integers(min_value=0, max_value=g.n - 1))]
+        for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+            fresh = [v for v in g.neighbors(walk[-1]) if v not in walk]
+            if not fresh:
+                break
+            walk.append(data.draw(st.sampled_from(fresh)))
+        reference = nx.Graph(list(g.edges()))
+        verdict = verify_cover(g, Cover((walk,))).path_verdicts[0]
+        assert verdict.simple and verdict.walk
+        k = len(walk) - 1
+        assert verdict.isometric == (nx.shortest_path_length(reference, walk[0], walk[-1]) == k)
+
+    def test_family_graphs_verify_without_neighbors(self, monkeypatch):
+        # the family rules answer every isometry test, so verification of a
+        # constructed cover never grows a ball from neighbours
+        cases = [
+            (make_hamming(HammingSpec(factors)), build(*factors))
+            for build, factors in [
+                (cover_hamming2, (3, 5)),
+                (cover_hamming3, (2, 2, 2)),
+                (cover_hamming3, (3, 4, 5)),
+            ]
+        ] + [
+            (make_complete_multipartite(spec), cover_multipartite(spec))
+            for spec in (PartiteSpec((5, 1)), PartiteSpec((4, 3, 3, 2)))
+        ]
+
+        def no_neighbors(self, v):
+            raise AssertionError("neighbors called")
+
+        monkeypatch.setattr(graph_module._HammingGraph, "neighbors", no_neighbors)
+        monkeypatch.setattr(graph_module._MultipartiteGraph, "neighbors", no_neighbors)
+        for g, cover in cases:
+            assert verify_cover(g, cover).valid, g
 
     def test_out_of_range_reported_not_raised(self):
         g = Graph(2, [(0, 1)])

@@ -3,6 +3,7 @@
 import hashlib
 import tracemalloc
 from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -593,6 +594,35 @@ class TestFamilyGraphs:
             tracemalloc.stop()
         assert g.m == edges
         assert peak < 1_000_000
+
+
+# Every Hamming spec with 1 to 3 factors and at most 36 vertices, then every
+# multipartite spec with 2 <= n <= 8 and at least two parts.
+DISTANCE_SWEEP = [
+    HammingSpec(factors)
+    for r in (1, 2, 3)
+    for factors in product(range(2, 37), repeat=r)
+    if prod(factors) <= 36
+] + [PartiteSpec(sizes) for sizes in sorted_partitions(8)]
+
+
+class TestDistanceRule:
+    @pytest.mark.parametrize("spec", DISTANCE_SWEEP, ids=spec_id)
+    def test_family_rule_is_the_bfs_distance(self, spec):
+        # the family graph's rule, the ball rule of the base class on the
+        # same graph and on its explicit copy, and BFS on that copy agree
+        g = family_graph(spec)
+        explicit = Graph(g.n, list(g.edges()))
+        rows = all_pairs_distances(explicit)
+        diameter = max(map(max, rows))
+        for u, v in product(range(g.n), repeat=2):
+            if u == v:
+                continue
+            for k in range(2, diameter + 3):
+                want = rows[u][v] >= k
+                assert g._distance_at_least(u, v, k) == want, (u, v, k)
+                assert Graph._distance_at_least(g, u, v, k) == want, (u, v, k)
+                assert explicit._distance_at_least(u, v, k) == want, (u, v, k)
 
 
 class TestGraphInvariants:
