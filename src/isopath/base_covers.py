@@ -1,25 +1,116 @@
 """Built-in base covers backing the Hamming cover constructors.
 
-Covers live in the ``fixtures`` directory beside this module, one file
-per key named ``<family>_<sizes>.cover`` (``hamming2`` or ``hamming3``,
-factors non-decreasing), in the plain cover text format.  They are
-hand-entered coordinate tables kept in tools/make_fixtures.py, written out
-as vertex indices.  Every entry is re-verified against its graph at load
-time: it must be a valid cover of exactly the closed-form size.  Fixtures
-are never regenerated at runtime.
+``_COORDINATES`` holds the hand-entered base covers of the products of 2
+or 3 complete graphs, one entry per key (factors non-decreasing): one path
+per line, one vertex per word, written as one digit per coordinate (every
+factor of a key is at most 6, so one digit is enough).  The table is read once per process into
+index covers, and every entry is re-verified against its graph: it must be
+a valid cover of exactly the closed-form size.
 """
 
-import os
-
-from .cover import Cover, parse_cover, verify_cover
+from .cover import Cover, verify_cover
 from .errors import ConstructionError, UnknownCoverKeyError
 from .formulas import ip_hamming2, ip_hamming3
-from .graph import HammingSpec, make_hamming
+from .graph import HammingSpec, _integers, encode_coordinates, make_hamming
 
 FAMILY_HAMMING2 = "hamming2"
 FAMILY_HAMMING3 = "hamming3"
 
-_FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+_COORDINATES = {
+    (2, 2): """00 01
+               10 11""",
+    (2, 3): """00 01 11
+               02 12 10""",
+    (2, 4): """00 01 11
+               02 12 10
+               03 13""",
+    (3, 3): """00 20 22
+               01 02 12
+               10 11 21""",
+    (2, 2, 2): """000 001 011 111
+                  101 100 110 010""",
+    (2, 3, 3): """011 010 000 100
+                  022 020 120 110
+                  021 121 111
+                  002 012 112
+                  001 101 102 122""",
+    (2, 3, 4): """011 010 000 100
+                  021 020 120 110
+                  023 022 122 112
+                  013 012 002 102
+                  001 101 111 113
+                  121 123 103 003""",
+    # 2x3x3 with its two 3-vertex paths extended into layers 3 and 4, plus 3 paths on layers 3-4
+    (2, 3, 5): """011 010 000 100
+                  022 020 120 110
+                  001 101 102 122
+                  021 121 111 113
+                  002 012 112 114
+                  014 013 023 123
+                  003 004 024 124
+                  103 104""",
+    # 2x3x3 with its two 3-vertex paths extended into layers 3 and 4, plus 4 paths on layers 3-5
+    (2, 3, 6): """011 010 000 100
+                  022 020 120 110
+                  001 101 102 122
+                  021 121 111 113
+                  002 012 112 114
+                  004 003 103 123
+                  013 014 024 124
+                  023 025 125 115
+                  015 005 105 104""",
+    # 2x3x5 without its 2-vertex path 103 104, plus 6 paths covering rows 3-4
+    (2, 5, 5): """011 010 000 100
+                  022 020 120 110
+                  001 101 102 122
+                  021 121 111 113
+                  002 012 112 114
+                  014 013 023 123
+                  003 004 024 124
+                  041 040 030 130
+                  140 141 131 031
+                  043 042 032 132
+                  142 143 133 033
+                  103 104 144
+                  044 034 134""",
+    (3, 3, 3): """000 020 120 121
+                  110 210 220 221
+                  021 011 111 112
+                  101 201 211 212
+                  010 012 022 122
+                  001 002 202 222
+                  102 100 200""",
+    (3, 3, 4): """000 020 120 121
+                  110 210 220 221
+                  021 011 111 112
+                  101 201 211 212
+                  010 012 022 122
+                  002 202 222 223
+                  013 113 103 102
+                  100 200 203 213
+                  001 003 023 123""",
+    # 2x3x5 without its 2-vertex path 103 104, plus 12 paths covering layer 2 and rows 3-4
+    (3, 5, 5): """011 010 000 100
+                  022 020 120 110
+                  001 101 102 122
+                  021 121 111 113
+                  002 012 112 114
+                  014 013 023 123
+                  003 004 024 124
+                  040 240 200 201
+                  030 230 210 211
+                  041 031 131 130
+                  140 141 241 221
+                  103 203 223 220
+                  104 204 234 231
+                  032 232 212 213
+                  044 042 242 202
+                  043 143 133 132
+                  033 233 243 244
+                  034 134 144 142
+                  222 224 214""",
+}
+
 
 _TABLE = None
 
@@ -27,7 +118,7 @@ _TABLE = None
 def canonical_key(family: str, key) -> tuple:
     if family not in (FAMILY_HAMMING2, FAMILY_HAMMING3):
         raise UnknownCoverKeyError(family)
-    return tuple(sorted(int(s) for s in key))
+    return tuple(sorted(_integers(key, UnknownCoverKeyError, f"{family} key factors")))
 
 
 def _verify_entry(family, key, cover):
@@ -46,19 +137,13 @@ def _verify_entry(family, key, cover):
 
 def _load_table():
     table = {}
-    names = sorted(name for name in os.listdir(_FIXTURES) if name.endswith(".cover"))
-    if not names:
-        raise ConstructionError("no base cover fixtures found")
-    for name in names:
-        stem = name[: -len(".cover")]
-        family, _, size_part = stem.partition("_")
-        if family not in (FAMILY_HAMMING2, FAMILY_HAMMING3):
-            raise ConstructionError(f"unknown fixture family in {name!r}")
-        key = tuple(int(tok) for tok in size_part.split("-"))
-        with open(os.path.join(_FIXTURES, name), encoding="ascii") as handle:
-            cover = parse_cover(handle.read())
-        if key != canonical_key(family, key):
-            raise ConstructionError(f"fixture {name!r} key is not canonical")
+    for key, text in _COORDINATES.items():
+        family = FAMILY_HAMMING2 if len(key) == 2 else FAMILY_HAMMING3
+        spec = HammingSpec(key)
+        cover = Cover(
+            [encode_coordinates(spec, map(int, word)) for word in line.split()]
+            for line in text.splitlines()
+        )
         _verify_entry(family, key, cover)
         table[(family, key)] = cover
     return table

@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
 from itertools import accumulate
 from math import prod
-from operator import eq, mul
+from operator import eq, index as _index, mul
 
 from ._record import Record
 from .errors import (
@@ -52,13 +52,13 @@ def _truncated(given, ints):
 
 def _integers(values, error, what):
     """The ``int`` of each of ``values``.  Raises ``error`` ("``what`` must
-    be integers") when ``values`` is a string, when a value is neither a
-    number nor a numeric string, or when ``int`` would change a value (a
-    fraction, say)."""
+    be integers") when ``values`` is a string or not iterable, when a value
+    is neither a number nor a numeric string, or when ``int`` would change a
+    value (a fraction, say)."""
     ints = None
     if not isinstance(values, str):
-        values = tuple(values)
         try:
+            values = tuple(values)
             ints = tuple(map(int, values))
         except (TypeError, ValueError, OverflowError):
             pass
@@ -355,6 +355,14 @@ def _check_partite_size(n, m):
     _check_size(n, m)
 
 
+def _pair(i, pair):
+    """A designated pair of part i as a sorted tuple of two ints."""
+    ends = _integers(pair, InvalidPairingError, f"part {i}: pair ends")
+    if len(ends) != 2:
+        raise InvalidPairingError(f"part {i}: pair {ends} does not have two ends")
+    return tuple(sorted(ends))
+
+
 def _validate_pairings(spec: PartiteSpec, pairings):
     if len(pairings) != spec.r:
         raise InvalidPairingError(
@@ -362,7 +370,7 @@ def _validate_pairings(spec: PartiteSpec, pairings):
         )
     normalized = []
     for i, (size, pairs) in enumerate(zip(spec.sizes, pairings)):
-        pairs = [tuple(sorted((int(a), int(b)))) for a, b in pairs]
+        pairs = [_pair(i, pair) for pair in pairs]
         if len(pairs) != size // 2:
             raise InvalidPairingError(
                 f"part {i} of size {size} needs {size // 2} pairs, got {len(pairs)}"
@@ -423,6 +431,10 @@ def encode_coordinates(spec: HammingSpec, coords) -> int:
 
 def decode_coordinates(spec: HammingSpec, index: int):
     """Inverse of encode_coordinates."""
+    try:
+        index = _index(index)
+    except TypeError:
+        raise OutOfRangeError(f"vertex index must be an integer: {index!r}") from None
     if not 0 <= index < spec.n:
         raise OutOfRangeError(f"vertex index {index} out of range [0,{spec.n})")
     return tuple(index // s % f for s, f in zip(spec.strides, spec.factors))

@@ -1,6 +1,8 @@
 """Cover constructors and the base-cover table."""
 
+import builtins
 import hashlib
+import os
 from itertools import permutations, product
 
 import pytest
@@ -33,11 +35,7 @@ from conftest import sorted_partitions
 # SHA-256 of the loaded base-cover table below; any change to a stored
 # key, path, path order or note changes it.
 BASE_TABLE_SHA256 = (
-    "f000cd89ffdc74b7046a45f8aad52aab08ebfcc3f1e4653c6c96e0c13a82c18d"
-)
-# The same digest over the Hamming entries alone.
-HAMMING_TABLE_SHA256 = (
-    "f000cd89ffdc74b7046a45f8aad52aab08ebfcc3f1e4653c6c96e0c13a82c18d"
+    "7a39d0b0b98f76dd7053882a4d4b2eda2ddcb15271de3d6d27f9fb3bec1606d1"
 )
 # The digest over every key and its paths, without the notes.
 BASE_PATHS_SHA256 = (
@@ -73,9 +71,16 @@ class TestBaseCoverTable:
             base_cover_lookup("hamming3", (9, 9, 9))
         with pytest.raises(UnknownCoverKeyError):
             base_cover_lookup("nonsense", (2, 2))
+        # int would truncate 2.5 to the (2, 3) key, and raise a bare
+        # ValueError on "x"
+        with pytest.raises(UnknownCoverKeyError):
+            base_cover_lookup("hamming2", (2.5, 3))
+        with pytest.raises(UnknownCoverKeyError):
+            base_cover_lookup("hamming2", ("x", 3))
 
     def test_every_entry_is_valid_and_formula_sized(self):
         for (family, key), cover in sorted(base_cover_table().items()):
+            assert key == tuple(sorted(key)), (family, key)
             formula = ip_hamming2 if family == "hamming2" else ip_hamming3
             expected = formula(*key).value
             report = verify_cover(make_hamming(HammingSpec(key)), cover)
@@ -87,14 +92,6 @@ class TestBaseCoverTable:
 
     def test_paths_are_byte_stable(self):
         assert _table_digest(base_cover_table().items(), notes=False) == BASE_PATHS_SHA256
-
-    def test_hamming_entries_are_byte_stable(self):
-        entries = [
-            (entry, cover)
-            for entry, cover in base_cover_table().items()
-            if entry[0] in ("hamming2", "hamming3")
-        ]
-        assert _table_digest(entries) == HAMMING_TABLE_SHA256
 
     def test_lookup_returns_the_stored_cover(self):
         # covers are immutable, so the table's entry is handed out as it is
@@ -116,34 +113,32 @@ class TestBaseCoverTable:
                 build(*key)
 
     @pytest.mark.parametrize(
-        "files,message",
+        "text,message",
         [
-            ({}, "no base cover fixtures found"),
-            ({"torus_2-2.cover": ""}, "unknown fixture family in 'torus_2-2.cover'"),
-            (
-                {"hamming2_3-2.cover": "0 1\n"},
-                "fixture 'hamming2_3-2.cover' key is not canonical",
-            ),
-            (
-                {"hamming2_2-2.cover": "0 1\n"},
-                "base cover hamming2 (2, 2) failed verification (uncovered=(2, 3))",
-            ),
-            (
-                {"hamming2_2-2.cover": "0 1\n2 3\n0 2\n"},
-                "base cover hamming2 (2, 2) has 3 paths, expected 2",
-            ),
+            ("00 01", "base cover hamming2 (2, 2) failed verification (uncovered=(2, 3))"),
+            ("00 01\n10 11\n00 10", "base cover hamming2 (2, 2) has 3 paths, expected 2"),
         ],
-        ids=["empty", "family", "key", "invalid", "size"],
+        ids=["invalid", "size"],
     )
-    def test_a_damaged_fixture_directory_fails_to_load(
-        self, tmp_path, monkeypatch, files, message
-    ):
-        for name, text in files.items():
-            (tmp_path / name).write_text(text, encoding="ascii")
-        monkeypatch.setattr(base_covers, "_FIXTURES", str(tmp_path))
+    def test_a_damaged_coordinate_table_fails_to_load(self, monkeypatch, text, message):
+        monkeypatch.setattr(base_covers, "_COORDINATES", {(2, 2): text})
         with pytest.raises(ConstructionError) as info:
             base_covers._load_table()
         assert str(info.value) == message
+
+    def test_the_table_loads_without_a_file(self, monkeypatch):
+        # the covers live in the module itself, so an install ships no data
+        def refuse(*args, **kwargs):
+            raise OSError("no file may be read")
+
+        full = base_cover_table()
+        monkeypatch.setattr(base_covers, "_TABLE", None)
+        monkeypatch.setattr(builtins, "open", refuse)
+        monkeypatch.setattr(os, "listdir", refuse)
+        table = base_cover_table()
+        monkeypatch.undo()
+        assert table.keys() == full.keys()
+        assert all(table[entry].paths == full[entry].paths for entry in full)
 
 
 class TestCoverMultipartite:

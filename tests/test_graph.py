@@ -745,12 +745,40 @@ class TestGraphInvariants:
             OutOfRangeError,
             "coordinates must be integers: '01'",
         ),
+        # int would truncate these pair ends and this index, and a pair
+        # of the wrong length or a bare number would raise a bare error
+        (
+            lambda: make_augmented_multipartite(PartiteSpec((3, 2)), [[(0.5, 1.7)], [(0, 1)]]),
+            InvalidPairingError,
+            "part 0: pair ends must be integers: (0.5, 1.7)",
+        ),
+        (
+            lambda: make_augmented_multipartite(PartiteSpec((3, 2)), [[("x", 1)], [(0, 1)]]),
+            InvalidPairingError,
+            "part 0: pair ends must be integers: ('x', 1)",
+        ),
+        (
+            lambda: make_augmented_multipartite(PartiteSpec((3, 2)), [[(0, 1, 2)], [(0, 1)]]),
+            InvalidPairingError,
+            "part 0: pair (0, 1, 2) does not have two ends",
+        ),
+        (
+            lambda: make_augmented_multipartite(PartiteSpec((3, 2)), [[0], [(0, 1)]]),
+            InvalidPairingError,
+            "part 0: pair ends must be integers: 0",
+        ),
+        (
+            lambda: decode_coordinates(HammingSpec((2, 3)), 2.5),
+            OutOfRangeError,
+            "vertex index must be an integer: 2.5",
+        ),
     ],
     ids=[
         "negative-n", "degenerate-pair", "coordinate-count",
         "fractional-part", "fractional-factor", "fractional-coordinate",
         "text-part", "text-factor", "text-coordinate",
         "string-sizes", "string-factors", "string-coordinates",
+        "fractional-pair", "text-pair", "three-end-pair", "bare-pair", "fractional-index",
     ],
 )
 def test_bad_library_input_raises_its_error(build, error, message):
