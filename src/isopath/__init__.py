@@ -4,11 +4,7 @@ Closed-form path counts, explicit optimal cover construction, an exact
 branch-and-bound oracle for small graphs, and certificate verification.
 """
 
-from .base_covers import (
-    FAMILY_HAMMING2,
-    FAMILY_HAMMING3,
-    base_cover_lookup,
-)
+from .base_covers import base_cover_lookup
 from .construct import (
     cover_hamming2,
     cover_hamming3,
@@ -45,7 +41,6 @@ from .graph import (
     HammingSpec,
     PartiteSpec,
     all_pairs_distances,
-    decode_coordinates,
     encode_coordinates,
     format_graph,
     make_augmented_multipartite,

@@ -12,6 +12,7 @@ Tie-breaking everywhere is "lowest available index" so identical inputs
 produce byte-identical covers.
 """
 
+from itertools import product
 from operator import mul
 
 from .base_covers import (
@@ -23,7 +24,7 @@ from .base_covers import (
 from .cover import Cover
 from .errors import ConstructionError, UnknownCoverKeyError
 from .formulas import ip_hamming2, ip_hamming3, ip_multipartite, ip_multipartite_counts
-from .graph import HammingSpec, PartiteSpec, decode_coordinates
+from .graph import HammingSpec, PartiteSpec
 
 
 # --- multipartite construction -------------------------------------------
@@ -103,19 +104,14 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
 # from the table is reported instead of split into itself forever.
 
 
-def _base_coord_paths(family, key):
-    cover = base_cover_lookup(family, key)
-    spec = HammingSpec(key)
-    return [tuple(decode_coordinates(spec, v) for v in p) for p in cover.paths]
-
-
 def _tile(factors, rule):
     """Paths of a cover of the Hamming graph on ``factors``, as vertex
     indices of that graph, tiled from base-table boxes in depth-first order."""
     r = len(factors)
     family = FAMILY_HAMMING2 if r == 2 else FAMILY_HAMMING3
     table = base_cover_table()
-    bases = {}
+    bases = {}  # key: the base cover's index paths, looked up once
+    frames = {}  # (key, steps): those paths as offsets from the box corner
     paths = []
     # a box: its factors in its parent's frame, the index stride of the
     # caller's axis under each of them, and the index of its corner
@@ -126,11 +122,16 @@ def _tile(factors, rule):
         key = tuple(sizes[i] for i in order)
         steps = tuple(steps[i] for i in order)
         if (family, key) in table:
-            if key not in bases:
-                bases[key] = _base_coord_paths(family, key)
-            paths.extend(
-                tuple(start + sum(map(mul, v, steps)) for v in p) for p in bases[key]
-            )
+            placed = frames.get((key, steps))
+            if placed is None:
+                if key not in bases:
+                    bases[key] = base_cover_lookup(family, key).paths
+                # the offset of each base vertex, in the base graph's index order
+                offset = [sum(map(mul, c, steps)) for c in product(*map(range, key))]
+                placed = frames[key, steps] = [
+                    tuple(map(offset.__getitem__, p)) for p in bases[key]
+                ]
+            paths.extend(tuple(start + x for x in p) for p in placed)
             continue
         subs = rule(key)
         if not subs:

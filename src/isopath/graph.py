@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
 from itertools import accumulate
 from math import prod
-from operator import eq, index as _index, mul
+from operator import eq, mul
 
 from ._record import Record
 from .errors import (
@@ -427,17 +427,6 @@ def encode_coordinates(spec: HammingSpec, coords) -> int:
             raise OutOfRangeError(f"coordinate {c} out of range [0,{size})")
         index = index * size + c
     return index
-
-
-def decode_coordinates(spec: HammingSpec, index: int):
-    """Inverse of encode_coordinates."""
-    try:
-        index = _index(index)
-    except TypeError:
-        raise OutOfRangeError(f"vertex index must be an integer: {index!r}") from None
-    if not 0 <= index < spec.n:
-        raise OutOfRangeError(f"vertex index {index} out of range [0,{spec.n})")
-    return tuple(index // s % f for s, f in zip(spec.strides, spec.factors))
 
 
 def format_graph(g: Graph) -> str:

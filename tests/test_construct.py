@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import os
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -25,9 +26,8 @@ from isopath import (
     make_hamming,
     verify_cover,
 )
-from isopath import base_covers
+from isopath import base_covers, construct
 from isopath.base_covers import base_cover_table
-from isopath.graph import decode_coordinates
 
 from conftest import sorted_partitions
 
@@ -247,6 +247,24 @@ class TestCoverHamming3:
         g = make_hamming(HammingSpec((2, 5, 7)))
         assert verify_cover(g, cover).valid
 
+    def test_each_base_key_is_looked_up_once(self, monkeypatch):
+        # K5 x K7 x K9 places (2, 3, 4) under 4 box frames, (2, 2, 2) and
+        # (3, 3, 4) under 2 each and (3, 5, 5) under 1; each key is still
+        # looked up once
+        calls = Counter()
+        lookup = construct.base_cover_lookup
+
+        def counted(family, key):
+            calls[family, key] += 1
+            return lookup(family, key)
+
+        monkeypatch.setattr(construct, "base_cover_lookup", counted)
+        assert len(cover_hamming3(5, 7, 9).paths) == ip_hamming3(5, 7, 9).value
+        assert calls == {
+            ("hamming3", key): 1
+            for key in ((2, 2, 2), (2, 3, 4), (3, 3, 4), (3, 5, 5))
+        }
+
     def test_size_is_permutation_invariant(self):
         for triple in ((2, 3, 5), (2, 2, 7), (4, 6, 8), (3, 5, 5)):
             sizes = {len(cover_hamming3(*p).paths) for p in permutations(triple)}
@@ -285,8 +303,10 @@ def test_covers_past_the_recursion_limit(factors):
         cover, expected = cover_hamming3(*factors), ip_hamming3(*factors).value
     assert len(cover.paths) == expected
     assert {v for p in cover.paths for v in p} == set(range(spec.n))
+    # the coordinates of each vertex, in index order
+    table = list(product(*map(range, factors)))
     for p in cover.paths:
-        coords = [decode_coordinates(spec, v) for v in p]
+        coords = [table[v] for v in p]
         assert all(_differing(x, y) == 1 for x, y in zip(coords, coords[1:]))
         assert _differing(coords[0], coords[-1]) == len(coords) - 1
 
