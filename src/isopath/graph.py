@@ -23,8 +23,12 @@ from .errors import (
 
 UNREACHABLE = -1
 
-# Lines of a graph file read as one block by ``parse_graph``.
-_BLOCK_LINES = 4096
+# Characters of a graph file that ``parse_graph`` reads past before it
+# cuts a chunk at the next line end.
+_CHUNK_CHARS = 1 << 16
+
+# The line breaks of ``str.splitlines`` other than "\n".
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 # A graph file whose problem line declares at least this many edges per
 # vertex names each vertex often enough that ``parse_graph`` looks its
@@ -111,8 +115,15 @@ class Graph:
         any order and with repeats (none where v is absent)."""
         # one sorted tuple per vertex; isolated vertices share one empty tuple
         adj = [()] * n
+        repeats = False
         for v, ends in lists.items():
-            adj[v] = tuple(sorted(set(ends)))
+            ends.sort()
+            nbrs = adj[v] = tuple(ends)
+            # a repeated edge {v, w} with v < w repeats w above v in nbrs
+            above = nbrs[bisect_right(nbrs, v):]
+            repeats = repeats or any(map(eq, above, above[1:]))
+        if repeats:
+            adj = [tuple(sorted(set(nbrs))) for nbrs in adj]
         self.n = n
         self.m = sum(map(len, adj)) // 2
         self._adj = adj
@@ -133,17 +144,12 @@ class Graph:
         That holds iff no vertex within distance k-2 of u is adjacent to v:
         only that ball is grown, never a full BFS row.
         """
-        frontier = [u]
-        ball = set(frontier)
+        frontier = {u}
+        ball = {u}
         for _ in range(k - 2):
-            grown = []
-            for w in frontier:
-                for x in self.neighbors(w):
-                    if x not in ball:
-                        ball.add(x)
-                        grown.append(x)
-            frontier = grown
-        return not any(self.has_edge(w, v) for w in ball)
+            frontier = set().union(*map(self.neighbors, frontier)) - ball
+            ball |= frontier
+        return ball.isdisjoint(self.neighbors(v))
 
     def edges(self):
         """Yield edges (u, v) with u < v in lexicographic order."""
@@ -472,22 +478,20 @@ def _read_lines(lines, lineno, header, us, vs):
     return header
 
 
-def _edge_block(lines, names):
-    """The ends (us, vs, in_range) of the edges of ``lines`` if every line
-    starts with ``e`` and is an ``e <u> <v>`` record, else None.  ``names``
+def _edge_block(chunk, k, names):
+    """The ends (us, vs, in_range) of the edges of ``chunk``, k lines joined
+    by "\\n", if every line is an ``e <u> <v>`` record, else None.  ``names``
     maps the plain spelling of each vertex to its int, or is None; if it
-    holds every token of the block, the ends are its ints and ``in_range``
+    holds every token of the chunk, the ends are its ints and ``in_range``
     is True, else every token goes through int."""
-    k = len(lines)
-    text = "\n".join(lines)
-    tokens = text.split()
-    # Every line starts with "e" (the text does, and so does each line after
+    tokens = chunk.split()
+    # Every line starts with "e" (the chunk does, and so does each line after
     # a newline), and the tokens are k "e"s at every third place with int
     # tokens between them.  An int token cannot start with "e", so the first
     # tokens of the k lines are those k "e"s: each line is "e" and two ints.
     if not (
-        text.startswith("e")
-        and text.count("\ne") == k - 1
+        chunk.startswith("e")
+        and chunk.count("\ne") == k - 1
         and len(tokens) == 3 * k
         and tokens[0::3].count("e") == k
     ):
@@ -511,35 +515,50 @@ def parse_graph(text: str) -> Graph:
     line, an edge count other than the declared one, the first edge out of
     range or self-loop, and a count of distinct edges other than declared.
     """
-    lines = text.splitlines()
+    # with "\n" the only line break, the lines are text[:size].split("\n"),
+    # where size leaves out a final "\n"
+    if any(map(text.__contains__, _OTHER_LINE_BREAKS)):
+        text = "\n".join(text.splitlines())
+    size = len(text) - text.endswith("\n")
     header = None
-    start = 0
+    pos = 0
+    lineno = 1
     # the line reader takes the lines up to the problem line one at a time
     while header is None:
-        if start == len(lines):
+        if pos > size:
             raise FormatError("missing problem line")
-        header = _read_lines(lines[start:start + 1], start + 1, None, [], [])
-        start += 1
+        end = text.find("\n", pos, size)
+        if end < 0:
+            end = size
+        header = _read_lines((text[pos:end],), lineno, None, [], [])
+        pos = end + 1
+        lineno += 1
     n, m = header
     # the edges that name a vertex share the one int of its table entry; a
     # file has no more edges than lines left, whatever its problem line says
     names = None
-    if _TABLE_EDGES_PER_VERTEX * n <= min(m, len(lines) - start):
+    if _TABLE_EDGES_PER_VERTEX * n <= min(m, text.count("\n", pos, size) + 1):
         names = dict(zip(map(str, range(n)), range(n)))
     lists = defaultdict(list)
     count = 0
     error = None
-    # After the problem line, a block of lines that are all edge records
+    # After the problem line, a chunk of lines that are all edge records
     # goes through C-level split, token conversion and list appends; any
-    # other block goes through the line reader, which skips comments and
+    # other chunk goes through the line reader, which skips comments and
     # blanks and raises the error of its first bad line.
-    for start in range(start, len(lines), _BLOCK_LINES):
-        block = lines[start:start + _BLOCK_LINES]
-        ends = _edge_block(block, names)
+    while pos < size:
+        end = text.find("\n", pos + _CHUNK_CHARS, size)
+        if end < 0:
+            end = size
+        chunk = text[pos:end]
+        k = chunk.count("\n") + 1
+        ends = _edge_block(chunk, k, names)
         if ends is None:
             us, vs = [], []
-            _read_lines(block, start + 1, header, us, vs)
+            _read_lines(chunk.split("\n"), lineno, header, us, vs)
             ends = us, vs, False
+        pos = end + 1
+        lineno += k
         count += len(ends[0])
         # past m edges the count check fails anyway: stop storing them
         if error is None and count <= m:

@@ -371,16 +371,40 @@ class TestGraphTextFormat:
         assert str(info.value) == MALFORMED_GRAPHS[text]
 
     def test_parse_peak_memory(self):
+        text = format_graph(make_complete_multipartite(PartiteSpec((300, 200, 100))))
         tracemalloc.start()
         try:
-            g = parse_graph(format_graph(make_complete_multipartite(PartiteSpec((300, 200, 100)))))
+            g = parse_graph(text)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert g.m == 110_000
-        # one list of the file's lines and the adjacency sets, no list of
-        # all its tokens
-        assert peak <= 28_000_000
+        # the neighbour lists and their sorted tuples, about 1.8 MB each,
+        # and the tokens of one chunk: 3.75 MB in all; no list of the
+        # file's lines or of all its tokens, and no neighbour set per vertex
+        assert peak <= 6_000_000
+
+    def test_edge_lines_skip_the_line_reader(self, monkeypatch):
+        calls = []
+        read_lines = graph_module._read_lines
+
+        def counted(lines, *args):
+            calls.append(list(lines))
+            return read_lines(lines, *args)
+
+        monkeypatch.setattr(graph_module, "_read_lines", counted)
+        g = parse_graph(format_graph(make_complete_multipartite(PartiteSpec((300, 200, 100)))))
+        assert g.m == 110_000
+        assert calls == [["p 600 110000"]]
+
+    def test_an_edge_repeated_chunks_apart_is_one_distinct_edge(self):
+        # {0, 1} is written both ways round, more than two chunks apart
+        filler = "".join(f"e 2 {v}\n" for v in range(3, 30_003))
+        text = f"p 30003 30002\ne 0 1\n{filler}e 1 0\n"
+        assert len(filler) > 2 * graph_module._CHUNK_CHARS
+        with pytest.raises(FormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == "problem line declares 30002 edges, file has 30001 distinct"
 
     def test_a_file_short_of_its_edges_builds_no_spelling_table(self):
         tracemalloc.start()
@@ -463,9 +487,15 @@ def line_by_line_parse(text):
     return n, m, {v: tuple(sorted(s)) for v, s in adjacency.items()}
 
 
+# Line breaks that join the lines of drawn graph files: "\n", "\r\n" and
+# other breaks of ``str.splitlines``.
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+
+
 # Lines mixed into drawn graph files: comments, blank lines, leading
 # blanks, int tokens in other spellings, "e" in a number's place,
-# misaligned records, and edges out of range, self-loops and repeats.
+# misaligned records, records split by a line break other than "\n",
+# and edges out of range, self-loops and repeats.
 NOISE_LINES = [
     "c a comment", "c", "  c indented", "\tc", "", "   ", "\t",
     "  e 0 1", "\te 1 2", "e +1 2", "e 1_0 2", "e 0 +2", "e\t0\t1", "e 0 1 ",
@@ -473,6 +503,8 @@ NOISE_LINES = [
     "e 0 one", "e 0 9", "e -1 0", "e 2 2", "e 0 0", "e 1 0", "e 0 1",
     "e 1\n2 e 3 4", "e 0 1 e\n1 2", "\ne 0 1 e 1 2",
     "x 0 1", "p 3 1", "p 3", "p x 1", "E 0 1", "e 0\x1f1", "e \u0663 1",
+    "e 0\r1", "e 0 1\x0be 1 2", "c x\x0ce 0 1", "e 1\x1c2 e 3 4", "e 0 1\x85",
+    "\u2028e 0 1", "e 0 1\r\ne 1 2\re 0 2",
 ]
 
 
@@ -491,7 +523,7 @@ def graph_files(draw):
     for _ in range(draw(st.integers(0, 3))):
         noise = draw(st.sampled_from(NOISE_LINES))
         lines.insert(draw(st.integers(0, len(lines))), noise)
-    newline = draw(st.sampled_from(("\n", "\r\n")))
+    newline = draw(st.sampled_from(LINE_BREAKS))
     return newline.join(lines) + draw(st.sampled_from(("", newline)))
 
 
@@ -512,24 +544,25 @@ class TestParseMatchesLineByLine:
     @example("p 3 2\n\ne 0 1 e 1 2\n")
     def test_same_graph_or_same_error(self, text):
         want = parse_or_error(line_by_line_parse, text)
-        # blocks of 1 to 3 lines put block ends everywhere and mix edge
-        # lines with others in one block; the vertex tokens of every file
-        # go through the spelling table (switch 0), through int alone
-        # (MAX_EDGES + 1) and as the default switch picks
-        saved = graph_module._BLOCK_LINES, graph_module._TABLE_EDGES_PER_VERTEX
-        for block_lines, switch in product(
-            (1, 2, 3, saved[0]), (0, saved[1], MAX_EDGES + 1)
+        # chunks of 0, 1 and 7 characters are cut at the next line end: a
+        # cut after every line, and edge lines mixed with others in one
+        # chunk; the vertex tokens of every file go through the spelling
+        # table (switch 0), through int alone (MAX_EDGES + 1) and as the
+        # default switch picks
+        saved = graph_module._CHUNK_CHARS, graph_module._TABLE_EDGES_PER_VERTEX
+        for chunk_chars, switch in product(
+            (0, 1, 7, saved[0]), (0, saved[1], MAX_EDGES + 1)
         ):
-            graph_module._BLOCK_LINES = block_lines
+            graph_module._CHUNK_CHARS = chunk_chars
             graph_module._TABLE_EDGES_PER_VERTEX = switch
             try:
                 got = parse_or_error(parse_graph, text)
             finally:
-                graph_module._BLOCK_LINES, graph_module._TABLE_EDGES_PER_VERTEX = saved
+                graph_module._CHUNK_CHARS, graph_module._TABLE_EDGES_PER_VERTEX = saved
             if isinstance(got, Graph):
                 neighbors = {v: got.neighbors(v) for v in range(got.n) if got.neighbors(v)}
                 got = got.n, got.m, neighbors
-            assert got == want, (block_lines, switch)
+            assert got == want, (chunk_chars, switch)
 
 
 def explicit_family_graph(spec):
@@ -633,6 +666,17 @@ class TestGraphInvariants:
         assert [g.neighbors(v) for v in range(3)] == [(1,), (0,), ()]
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2) and not g.has_edge(2, 0)
+
+    def test_repeats_on_many_vertices_are_stored_once(self):
+        n = 40
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u * v) % 3 == 1]
+        # every third edge again as given, every other one reversed
+        g = Graph(n, edges + edges[::3] + [(v, u) for u, v in edges[::2]])
+        assert g.m == len(edges)
+        for v in range(n):
+            nbrs = g.neighbors(v)
+            assert type(nbrs) is tuple
+            assert nbrs == tuple(sorted({a + b - v for a, b in edges if v in (a, b)}))
 
     def test_has_edge_past_the_ends_of_a_neighbour_tuple(self):
         # vertex 5 has no neighbour; 0 and 4 have one, at each end of the range
