@@ -337,6 +337,29 @@ def test_hamming_sweep_is_byte_stable():
     assert digest.hexdigest() == HAMMING_SWEEP_SHA256
 
 
+
+# SHA-256 of the Hamming specs below, past the sweep's sides, up to the
+# largest specs the benchmark's construct mix builds; same format as the
+# sweep digest.
+HAMMING_LARGE_SHA256 = (
+    "4a1dc22facd58d87bc914a16c058fce345c65da8bca785bdfd9e9c497a3f83a2"
+)
+
+
+def test_hamming_covers_past_the_sweep_are_byte_stable():
+    """2 x b for b in 41..100, 2 x 2 x c for odd c in 13..61, 3 x 3 x c
+    for c in 13..42, 14 x 15, 20 x 21 and 12 x 12 x 12."""
+    specs = [(2, b) for b in range(41, 101)]
+    specs += [(2, 2, c) for c in range(13, 62, 2)]
+    specs += [(3, 3, c) for c in range(13, 43)]
+    specs += [(14, 15), (20, 21), (12, 12, 12)]
+    digest = hashlib.sha256()
+    for factors in specs:
+        digest.update((",".join(map(str, factors)) + "\n").encode("ascii"))
+        cover = cover_hamming2(*factors) if len(factors) == 2 else cover_hamming3(*factors)
+        digest.update(format_cover(cover, comments=(cover.note,)).encode("ascii"))
+    assert digest.hexdigest() == HAMMING_LARGE_SHA256
+
 # SHA-256 of the multipartite sweep below; any change to a constructed cover,
 # its path order or its note changes it.
 MULTIPARTITE_SWEEP_SHA256 = (

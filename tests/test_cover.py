@@ -1,6 +1,7 @@
 """Cover model, verification semantics, and the cover text format."""
 
 import random
+from enum import IntEnum
 
 import networkx as nx
 import pytest
@@ -23,6 +24,10 @@ from isopath import (
     verify_cover,
 )
 from isopath import graph as graph_module
+
+class _Vertex(IntEnum):
+    THREE = 3
+
 
 SPEC_33 = HammingSpec((3, 3))
 SPEC_222 = HammingSpec((2, 2, 2))
@@ -75,6 +80,46 @@ class TestPathBasics:
             Cover([[0, 1.5]])
         with pytest.raises(ValueError):
             Cover([(0, 1), (2.5,)])
+
+    @pytest.mark.parametrize(
+        "path, expected",
+        [
+            (("3",), (3,)),
+            ((2.0,), (2,)),
+            ((True,), (1,)),
+            ((_Vertex.THREE,), (3,)),
+            ((0, True, 2), (0, 1, 2)),
+            ((False, 1), (0, 1)),
+            ((0, "4", 5), (0, 4, 5)),
+            ((0, _Vertex.THREE, 5.0), (0, 3, 5)),
+        ],
+    )
+    def test_each_vertex_becomes_an_exact_int(self, path, expected):
+        cover = Cover([(0, 1), path])
+        assert cover.paths == ((0, 1), expected)
+        assert all(type(v) is int for v in cover.paths[1])
+        assert format_cover(cover) == "0 1\n" + " ".join(map(str, expected)) + "\n"
+
+    @pytest.mark.parametrize(
+        "paths, error, message",
+        [
+            ([(1.5,)], ValueError, r"^path \(1.5,\) has a vertex that is not an integer$"),
+            ([(0, 1), (0, 1.5)], ValueError, r"^path \(0, 1.5\) has a vertex that is not an integer$"),
+            ([("x",)], ValueError, r"^invalid literal for int\(\) with base 10: 'x'$"),
+            ([(0, "x")], ValueError, r"^invalid literal for int\(\) with base 10: 'x'$"),
+            ([(None,)], TypeError, r"^int\(\) argument must be .*, not 'NoneType'$"),
+            ([(0,), (1, None)], TypeError, r"^int\(\) argument must be .*, not 'NoneType'$"),
+            # the conversion is checked before the empty path
+            ([(), ("x",)], ValueError, r"^invalid literal"),
+            ([(), (0.5,)], ValueError, r"not an integer$"),
+            ([()], ValueError, r"^a path has at least one vertex$"),
+            ([(0, 1), ()], ValueError, r"^a path has at least one vertex$"),
+            ([(True,), ()], ValueError, r"^a path has at least one vertex$"),
+        ],
+    )
+    def test_conversion_errors(self, paths, error, message):
+        with pytest.raises(error, match=message):
+            Cover(paths)
 
     def test_list_paths_leave_the_cover_hashable(self):
         cover = Cover([[0, 1], [1, 2]])
@@ -198,6 +243,39 @@ class TestVerifyCover:
         report = verify_cover(g, Cover(((0, 7),)))
         assert not report.valid
         assert not report.path_verdicts[0].walk
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(4, [(0, 1), (1, 2), (2, 3)]),
+            make_hamming(HammingSpec((2, 2))),
+            make_complete_multipartite(PartiteSpec((1, 1, 1, 1))),
+        ],
+        ids=["stored", "hamming", "multipartite"],
+    )
+    @pytest.mark.parametrize(
+        "path, overlap",
+        [
+            ((4, 0, 1), 2),
+            ((0, 4, 1), 2),
+            ((0, 1, 4), 2),
+            ((4,), 0),
+            ((-1, 0, 1), 2),
+            ((0, -1, 1), 2),
+            ((0, 1, -1), 2),
+            ((-1,), 0),
+        ],
+    )
+    def test_a_vertex_out_of_range_anywhere_breaks_the_walk(self, graph, path, overlap):
+        # the in-range vertices of the bad path still count as covered and
+        # in the overlap; 2 and 3 are covered by neither path
+        report = verify_cover(graph, Cover((path, (0, 1))))
+        verdicts = [(v.simple, v.walk, v.isometric) for v in report.path_verdicts]
+        assert verdicts == [(True, False, False), (True, True, True)]
+        assert report.uncovered == (2, 3)
+        assert report.overlap == overlap
+        assert report.size == 2
+        assert not report.valid
 
     def test_invariant_under_reversal_and_permutation(self):
         g = make_hamming(SPEC_233)
