@@ -12,7 +12,7 @@ Tie-breaking everywhere is "lowest available index" so identical inputs
 produce byte-identical covers.
 """
 
-from itertools import product
+from itertools import product, repeat
 from operator import mul
 
 from .base_covers import (
@@ -107,39 +107,49 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
 def _tile(factors, rule):
     """Paths of a cover of the Hamming graph on ``factors``, as vertex
     indices of that graph, tiled from base-table boxes in depth-first order."""
-    r = len(factors)
-    family = FAMILY_HAMMING2 if r == 2 else FAMILY_HAMMING3
+    family = FAMILY_HAMMING2 if len(factors) == 2 else FAMILY_HAMMING3
     table = base_cover_table()
     bases = {}  # key: the base cover's index paths, looked up once
-    frames = {}  # (key, steps): those paths as offsets from the box corner
+    frames = {}  # (sizes, steps) as popped: what _frame makes of the box
     paths = []
     # a box: its factors in its parent's frame, the index stride of the
     # caller's axis under each of them, and the index of its corner
     stack = [(tuple(factors), HammingSpec(factors).strides, 0)]
     while stack:
         sizes, steps, start = stack.pop()
-        order = sorted(range(r), key=sizes.__getitem__)
-        key = tuple(sizes[i] for i in order)
-        steps = tuple(steps[i] for i in order)
-        if (family, key) in table:
-            placed = frames.get((key, steps))
-            if placed is None:
-                if key not in bases:
-                    bases[key] = base_cover_lookup(family, key).paths
-                # the offset of each base vertex, in the base graph's index order
-                offset = [sum(map(mul, c, steps)) for c in product(*map(range, key))]
-                placed = frames[key, steps] = [
-                    tuple(map(offset.__getitem__, p)) for p in bases[key]
-                ]
-            paths.extend(tuple(start + x for x in p) for p in placed)
-            continue
-        subs = rule(key)
-        if not subs:
-            raise UnknownCoverKeyError(f"{family} {key}")
-        # reversed, so the first sub-box is popped, and emitted, first
-        for sub, shift in reversed(subs):
-            stack.append((sub, steps, start + sum(map(mul, shift, steps))))
+        frame = frames.get((sizes, steps))
+        if frame is None:
+            frame = frames[sizes, steps] = _frame(family, table, bases, sizes, steps, rule)
+        placed, subs, sub_steps, shifts = frame
+        if placed is not None:
+            paths.extend(map(tuple, map(map, repeat(start.__add__), placed)))
+        else:
+            stack.extend(zip(subs, repeat(sub_steps), map(start.__add__, shifts)))
     return paths
+
+
+def _frame(family, table, bases, sizes, steps, rule):
+    """What ``_tile`` does with a box of ``sizes`` under ``steps``, wherever
+    its corner lies.  A base box gives (placed, None, None, None), where
+    ``placed`` are the base cover's paths as index offsets from the corner.
+    A split box gives (None, subs, steps, shifts): its sub-boxes in push
+    order, the steps in its sorted frame, and each sub-box's corner as an
+    index offset from its own."""
+    order = sorted(range(len(sizes)), key=sizes.__getitem__)
+    key = tuple(sizes[i] for i in order)
+    steps = tuple(steps[i] for i in order)
+    if (family, key) in table:
+        if key not in bases:
+            bases[key] = base_cover_lookup(family, key).paths
+        # the offset of each base vertex, in the base graph's index order
+        offset = [sum(map(mul, c, steps)) for c in product(*map(range, key))]
+        return [tuple(map(offset.__getitem__, p)) for p in bases[key]], None, None, None
+    subs = rule(key)
+    if not subs:
+        raise UnknownCoverKeyError(f"{family} {key}")
+    # reversed, so the first sub-box is popped, and emitted, first
+    subs, shifts = zip(*reversed(subs))
+    return None, subs, steps, [sum(map(mul, shift, steps)) for shift in shifts]
 
 
 def _hamming_cover(factors, expected, rule):

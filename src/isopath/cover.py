@@ -3,6 +3,8 @@
 A path is a tuple of vertex indices claimed to be an isometric path.
 """
 
+from itertools import chain, repeat
+
 from ._record import Record
 from .errors import FormatError
 from .graph import Graph, _truncated
@@ -13,16 +15,18 @@ class Cover(Record):
 
     Each path becomes a tuple of ints; an empty path, or a vertex other than
     a string that ``int`` changes, is rejected, while distinctness and
-    adjacency are checked at verification time, not here.
+    adjacency are checked at verification time, not here.  Paths whose
+    vertices are all exactly ``int`` are kept as given; a ``bool`` or other
+    ``int`` subclass is converted, so the cover text prints digits.
     Vertex overlap between paths is permitted (covers are not partitions).
     """
 
     __slots__ = ("paths", "note")
 
     def __init__(self, paths, note=""):
-        given = tuple(map(tuple, paths))
-        paths = tuple(tuple(map(int, p)) for p in given)
-        if paths != given:
+        paths = given = tuple(map(tuple, paths))
+        if not set(map(type, chain.from_iterable(given))) <= {int}:
+            paths = tuple(tuple(map(int, p)) for p in given)
             for p, q in zip(given, paths):
                 if _truncated(p, q):
                     raise ValueError(f"path {p} has a vertex that is not an integer")
@@ -92,21 +96,22 @@ def _normal_form_ok(c: Cover) -> bool:
 def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> VerifyReport:
     """Check every path and the coverage of V(g); problems are reported,
     never raised.  Deterministic and side-effect free."""
+    n = g.n
     verdicts = []
     covered = set()
     incidences = 0
     for verts in c.paths:
-        kept = [v for v in verts if 0 <= v < g.n]
+        in_range = 0 <= min(verts) and max(verts) < n
+        kept = verts if in_range else [v for v in verts if 0 <= v < n]
         incidences += len(kept)
         covered.update(kept)
-        in_range = len(kept) == len(verts)
         simple = len(set(verts)) == len(verts)
-        walk = in_range and all(g.has_edge(a, b) for a, b in zip(verts, verts[1:]))
+        walk = in_range and all(map(g.has_edge, verts, verts[1:]))
         # a simple walk with k edges is a shortest path iff d(start, end) >= k
         k = len(verts) - 1
         isometric = simple and walk and (k <= 1 or g._distance_at_least(verts[0], verts[-1], k))
         verdicts.append(_VERDICTS[simple, walk, isometric])
-    uncovered = tuple(sorted(set(range(g.n)) - covered))
+    uncovered = tuple(sorted(set(range(n)) - covered))
     valid = all(v.ok for v in verdicts) and not uncovered
     normal_form = None
     if strict_normal_form:
@@ -128,7 +133,7 @@ def format_cover(c: Cover, comments=()) -> str:
     Optional comment lines are emitted first, prefixed with ``# ``.
     """
     lines = [f"# {comment}" for comment in comments]
-    lines.extend(" ".join(map(str, p)) for p in c.paths)
+    lines.extend(map(" ".join, map(map, repeat(str), c.paths)))
     return "\n".join(lines) + "\n"
 
 

@@ -121,6 +121,11 @@ class TestPathBasics:
         with pytest.raises(error, match=message):
             Cover(paths)
 
+    def test_int_tuples_are_kept_as_given(self):
+        given = ((0, 1), (2,), (3, 4, 5))
+        cover = Cover(given)
+        assert all(cover.paths[i] is given[i] for i in range(len(given)))
+
     def test_list_paths_leave_the_cover_hashable(self):
         cover = Cover([[0, 1], [1, 2]])
         assert cover.paths == ((0, 1), (1, 2))
