@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import os
+import random
 from collections import Counter
 from itertools import permutations, product
 
@@ -141,6 +142,40 @@ class TestBaseCoverTable:
         assert all(table[entry].paths == full[entry].paths for entry in full)
 
 
+def _random_partitions(seed, count, lo, hi):
+    """``count`` seeded part-size vectors of ``lo``..``hi`` vertices, in turn
+    near-balanced, with a dominant part (more than 2n/3), with many odd parts
+    (mostly of sizes 1 and 3) and with uniform random parts."""
+    rng = random.Random(seed)
+
+    def composition(n, parts):
+        cuts = [0, *sorted(rng.sample(range(1, n), parts - 1)), n]
+        return [b - a for a, b in zip(cuts, cuts[1:])]
+
+    out = []
+    for k in range(count):
+        n = rng.randint(lo, hi)
+        shape = k % 4
+        if shape == 0:
+            parts = rng.randint(2, n // 3)
+            sizes = [n // parts + (i < n % parts) for i in range(parts)]
+            for i in range(parts - 1):  # move up to a quarter to the next part
+                shift = rng.randint(0, sizes[i] // 4)
+                sizes[i] -= shift
+                sizes[i + 1] += shift
+        elif shape == 1:
+            big = rng.randint(2 * n // 3 + 1, n - 1)
+            sizes = [big, *composition(n - big, rng.randint(1, n - big))]
+        elif shape == 2:
+            sizes = []
+            while sum(sizes) < n:
+                sizes.append(min(rng.choice((1, 1, 3, 3, 5, 2)), n - sum(sizes)))
+        else:
+            sizes = composition(n, rng.randint(2, n))
+        out.append(tuple(sorted(sizes, reverse=True)))
+    return out
+
+
 class TestCoverMultipartite:
     def test_dominant_hub_shape(self):
         cover = cover_multipartite(PartiteSpec((5, 1)))
@@ -173,9 +208,10 @@ class TestCoverMultipartite:
         with pytest.raises(InvalidSpecError):
             cover_multipartite(PartiteSpec((3,)))
 
-    # n <= 20 includes specs with no donor at some step, which take the
-    # reused middle: (5, 1), (2, 2, 1) and (4, 2, 2), say
-    @pytest.mark.parametrize("sizes", sorted_partitions(20))
+    # every spec with n <= 20, then seeded draws of 21..600 vertices
+    @pytest.mark.parametrize(
+        "sizes", sorted_partitions(20) + _random_partitions(20, 300, 21, 600)
+    )
     def test_valid_formula_sized_normal_form(self, sizes):
         spec = PartiteSpec(sizes)
         g = make_complete_multipartite(spec)
@@ -381,3 +417,24 @@ def test_multipartite_sweep_is_byte_stable():
             continue
         digest.update(format_cover(cover, comments=(cover.note,)).encode("ascii"))
     assert digest.hexdigest() == MULTIPARTITE_SWEEP_SHA256
+
+
+# SHA-256 of the multipartite specs below, past the sweep's n <= 16, up to
+# the largest spec the benchmark's construct mix builds; same format as the
+# sweep digest.
+MULTIPARTITE_LARGE_SHA256 = (
+    "3b41c2629f45e995bb4dcf04026834dec54b2a01a0da3836b5dfbb72c8d7fb8e"
+)
+
+
+def test_multipartite_covers_past_the_sweep_are_byte_stable():
+    """K_{300,200,100}, parts 1..83, 61 parts of 7, and 90 seeded draws of
+    21..220 vertices of each shape."""
+    specs = [(300, 200, 100), tuple(range(83, 0, -1)), (7,) * 61]
+    specs += _random_partitions(27, 360, 21, 220)
+    digest = hashlib.sha256()
+    for sizes in specs:
+        digest.update((",".join(map(str, sizes)) + "\n").encode("ascii"))
+        cover = cover_multipartite(PartiteSpec(sizes))
+        digest.update(format_cover(cover, comments=(cover.note,)).encode("ascii"))
+    assert digest.hexdigest() == MULTIPARTITE_LARGE_SHA256
