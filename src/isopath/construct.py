@@ -1,12 +1,12 @@
 """Explicit optimal cover construction for both graph families.
 
 Multipartite covers come from one peel loop and no table: it takes off
-one isometric 3-path at a time, each lowering the closed form of the
-counts left by one, then covers the clique of the last vertices.  Hamming
-covers come from a box-tiling loop: a box (a product of coordinate
-ranges, a distance-invariant induced subgraph) is either a key of the
-built-in base-cover table or is cut into smaller boxes by the family's
-split rule.
+one isometric 3-path at a time by a fixed rule (two vertices of the
+largest part through one of the smallest other part), then covers the
+clique of the last vertices.  Hamming covers come from a box-tiling
+loop: a box (a product of coordinate ranges, a distance-invariant
+induced subgraph) is either a key of the built-in base-cover table or is
+cut into smaller boxes by the family's split rule.
 
 Tie-breaking everywhere is "lowest available index" so identical inputs
 produce byte-identical covers.
@@ -23,7 +23,7 @@ from .base_covers import (
 )
 from .cover import Cover
 from .errors import ConstructionError, UnknownCoverKeyError
-from .formulas import ip_hamming2, ip_hamming3, ip_multipartite, ip_multipartite_counts
+from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
 from .graph import HammingSpec, PartiteSpec
 
 
@@ -39,22 +39,25 @@ def _emit_complete_base(verts, paths):
         paths.append((verts[-2], verts[-1]))
 
 
-def _value(left):
-    """The closed form on the vertices left in each part."""
-    return ip_multipartite_counts(sum(left), max(left), sum(k % 2 for k in left)).value
+def _reused(offsets, part):
+    # the first vertex of part 0, or of part 1 for a path in part 0: already
+    # covered, and adjacent to every vertex outside its part
+    return offsets[part == 0]
 
 
 def cover_multipartite(spec: PartiteSpec) -> Cover:
     """Valid cover of make_complete_multipartite(spec) with exactly
     ip_multipartite(spec).value paths, in normal form.
 
-    Each step peels the first two vertices left in the largest part through
-    a middle in another part.  The middle is the next vertex of the
-    smallest donor part after which the closed form of the counts left is
-    one lower, or else the first vertex, already covered, of the first part
-    that has lost one.  The vertices left at the end, one in each part,
-    form a clique."""
-    expected = value = ip_multipartite(spec).value
+    Each step peels the first two vertices left in the largest part (lowest
+    index on ties) through the next vertex of the smallest other part that
+    still has one (lowest index on ties).  When no other part has one, the
+    middle is the first vertex of part 0, or of part 1 for a peel in part
+    0, and so is the partner of a lone last vertex; last vertices in two or
+    more parts form a clique.  No closed form is evaluated in the loop: a
+    peel that did not lower it by one would show as a final count other
+    than ip_multipartite, which the count check rejects."""
+    expected = ip_multipartite(spec).value
     sizes = spec.sizes
     offsets = spec.part_offsets()
     left = list(sizes)  # each part is used from the front
@@ -63,29 +66,22 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
     while s > 1:
         big = left.index(s)
         left[big] -= 2
-        for k in sorted({k for i, k in enumerate(left) if k and i != big}):
-            donor = next(i for i, c in enumerate(left) if c == k and i != big)
+        rest = [(k, i) for i, k in enumerate(left) if k and i != big]
+        if rest:
+            k, donor = min(rest)
             left[donor] -= 1
-            if _value(left) == value - 1:
-                middle = offsets[donor] + sizes[donor] - k
-                break
-            left[donor] += 1
+            middle = offsets[donor] + sizes[donor] - k
         else:
-            used = [i for i, k in enumerate(left) if k < sizes[i] and i != big]
-            if not used or _value(left) != value - 1:
-                raise ConstructionError(f"no peel lowers the formula at sizes {tuple(left)}")
-            middle = offsets[used[0]]
+            middle = _reused(offsets, big)
         first = offsets[big] + sizes[big] - s
         paths.append((first, middle, first + 1))
-        value -= 1
         s = max(left)
-    last = [off + size - 1 for off, size, k in zip(offsets, sizes, left) if k]
+    last = [i for i, k in enumerate(left) if k]
+    ends = [offsets[i] + sizes[i] - 1 for i in last]
     if len(last) == 1:
-        # the one vertex left, joined to the first vertex of another part:
-        # part 1 if it lies in part 0, else part 0
-        paths.append((last[0], offsets[1] if last[0] < sizes[0] else 0))
+        paths.append((ends[0], _reused(offsets, last[0])))
     else:
-        _emit_complete_base(last, paths)
+        _emit_complete_base(ends, paths)
     if len(paths) != expected:
         raise ConstructionError(
             f"built {len(paths)} paths for sizes {sizes}, formula says {expected}"

@@ -37,13 +37,7 @@ def ip_multipartite(spec: PartiteSpec) -> FormulaResult:
     """
     if spec.r < 2:
         raise InvalidSpecError("at least two parts are required")
-    return ip_multipartite_counts(spec.n, spec.sizes[0], spec.alpha)
-
-
-def ip_multipartite_counts(n: int, n1: int, alpha: int) -> FormulaResult:
-    """The closed form of ip_multipartite on n vertices, a largest part of
-    n1 and alpha odd parts.  On one part of s vertices it gives ceil(s/2),
-    and on no vertex 0."""
+    n, n1, alpha = spec.n, spec.sizes[0], spec.alpha
     if 3 * n1 > 2 * n:
         return FormulaResult(ceil_div(n1, 2), CASE_DOMINANT_PART)
     if 3 * alpha > n:

@@ -14,7 +14,7 @@ from isopath import (
     ip_lower_bound_multipartite,
     ip_multipartite,
 )
-from isopath.formulas import ceil_div, ip_multipartite_counts
+from isopath.formulas import ceil_div
 
 from conftest import sorted_partitions
 
@@ -56,13 +56,6 @@ class TestIpMultipartite:
     def test_rejects_single_part(self):
         with pytest.raises(InvalidSpecError):
             ip_multipartite(PartiteSpec((4,)))
-
-    def test_counts_of_one_part_or_none(self):
-        # the peel loop of cover_multipartite reads the closed form on the
-        # counts it leaves, which may be one part or none
-        for s in range(1, 9):
-            assert ip_multipartite_counts(s, s, s % 2).value == (s + 1) // 2
-        assert ip_multipartite_counts(0, 0, 0).value == 0
 
     def test_input_order_does_not_matter(self):
         a = ip_multipartite(PartiteSpec((2, 3, 3)))
