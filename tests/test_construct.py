@@ -419,9 +419,9 @@ def test_multipartite_sweep_is_byte_stable():
     assert digest.hexdigest() == MULTIPARTITE_SWEEP_SHA256
 
 
-# SHA-256 of the multipartite specs below, past the sweep's n <= 16, up to
-# the largest spec the benchmark's construct mix builds; same format as the
-# sweep digest.
+# SHA-256 of the multipartite specs below, past the sweep's n <= 16: the
+# largest spec of the benchmark's construct mix, two with many parts and
+# seeded draws; same format as the sweep digest.
 MULTIPARTITE_LARGE_SHA256 = (
     "3b41c2629f45e995bb4dcf04026834dec54b2a01a0da3836b5dfbb72c8d7fb8e"
 )
