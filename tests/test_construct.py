@@ -118,11 +118,20 @@ class TestBaseCoverTable:
         [
             ("00 01", "base cover hamming2 (2, 2) failed verification (uncovered=(2, 3))"),
             ("00 01\n10 11\n00 10", "base cover hamming2 (2, 2) has 3 paths, expected 2"),
+            (
+                "000 001 011 111",
+                "base cover hamming3 (2, 2, 2) failed verification (uncovered=(2, 4, 5, 6))",
+            ),
+            (
+                "000 001 011 111\n101 100 110 010\n000 001",
+                "base cover hamming3 (2, 2, 2) has 3 paths, expected 2",
+            ),
         ],
-        ids=["invalid", "size"],
+        ids=["invalid", "size", "invalid-r3", "size-r3"],
     )
     def test_a_damaged_coordinate_table_fails_to_load(self, monkeypatch, text, message):
-        monkeypatch.setattr(base_covers, "_COORDINATES", {(2, 2): text})
+        key = (2,) * len(text.split()[0])
+        monkeypatch.setattr(base_covers, "_COORDINATES", {key: text})
         with pytest.raises(ConstructionError) as info:
             base_covers._load_table()
         assert str(info.value) == message
