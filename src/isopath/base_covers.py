@@ -4,17 +4,16 @@
 or 3 complete graphs, one entry per key (factors non-decreasing): one path
 per line, one vertex per word, written as one digit per coordinate (every
 factor of a key is at most 6, so one digit is enough).  The table is read once per process into
-index covers, and every entry is re-verified against its graph: it must be
-a valid cover of exactly the closed-form size.
+index covers stored under ``("hamming<r>", key)`` for a key of r factors,
+and every entry is re-verified against its graph: it must be a valid cover
+of exactly the counting bound ceil(n/(r+1)), so each is optimal by counting
+alone.
 """
 
 from .cover import Cover, verify_cover
 from .errors import ConstructionError, UnknownCoverKeyError
-from .formulas import ip_hamming2, ip_hamming3
+from .formulas import ip_lower_bound_hamming
 from .graph import HammingSpec, _integers, encode_coordinates, make_hamming
-
-FAMILY_HAMMING2 = "hamming2"
-FAMILY_HAMMING3 = "hamming3"
 
 _COORDINATES = {
     (2, 2): """00 01
@@ -115,15 +114,15 @@ _COORDINATES = {
 _TABLE = None
 
 
-def canonical_key(family: str, key) -> tuple:
-    if family not in (FAMILY_HAMMING2, FAMILY_HAMMING3):
-        raise UnknownCoverKeyError(family)
-    return tuple(sorted(_integers(key, UnknownCoverKeyError, f"{family} key factors")))
+def _family(key):
+    """The table's family name for a key of r factors, for any r."""
+    return f"hamming{len(key)}"
 
 
-def _verify_entry(family, key, cover):
-    expected = (ip_hamming2 if family == FAMILY_HAMMING2 else ip_hamming3)(*key).value
-    report = verify_cover(make_hamming(HammingSpec(key)), cover)
+def _verify_entry(family, spec, cover):
+    key = spec.factors
+    expected = ip_lower_bound_hamming(spec)
+    report = verify_cover(make_hamming(spec), cover)
     if not report.valid:
         raise ConstructionError(
             f"base cover {family} {key} failed verification "
@@ -138,13 +137,13 @@ def _verify_entry(family, key, cover):
 def _load_table():
     table = {}
     for key, text in _COORDINATES.items():
-        family = FAMILY_HAMMING2 if len(key) == 2 else FAMILY_HAMMING3
+        family = _family(key)
         spec = HammingSpec(key)
         cover = Cover(
             [encode_coordinates(spec, map(int, word)) for word in line.split()]
             for line in text.splitlines()
         )
-        _verify_entry(family, key, cover)
+        _verify_entry(family, spec, cover)
         table[(family, key)] = cover
     return table
 
@@ -158,10 +157,10 @@ def base_cover_table() -> dict:
 
 
 def base_cover_lookup(family: str, key) -> Cover:
-    """Stored base cover for the canonicalized key; covers are immutable,
-    so the table's own entry is returned."""
-    table = base_cover_table()
-    entry = table.get((family, canonical_key(family, key)))
+    """Stored base cover for ``key`` in any factor order; covers are
+    immutable, so the table's own entry is returned."""
+    canonical = tuple(sorted(_integers(key, UnknownCoverKeyError, f"{family} key factors")))
+    entry = base_cover_table().get((family, canonical))
     if entry is None:
         raise UnknownCoverKeyError(f"{family} {tuple(key)}")
     return entry

@@ -6,7 +6,9 @@ largest part through one of the smallest other part), then covers the
 clique of the last vertices.  Hamming covers come from a box-tiling
 loop: a box (a product of coordinate ranges, a distance-invariant
 induced subgraph) is either a key of the built-in base-cover table or is
-cut into smaller boxes by the family's split rule.
+cut into smaller boxes by the split rule that the constructor hands in.
+The loop holds no rule for the factor count: the table names the family
+of each key.
 
 Tie-breaking everywhere is "lowest available index" so identical inputs
 produce byte-identical covers.
@@ -15,12 +17,7 @@ produce byte-identical covers.
 from itertools import product, repeat
 from operator import mul
 
-from .base_covers import (
-    FAMILY_HAMMING2,
-    FAMILY_HAMMING3,
-    base_cover_lookup,
-    base_cover_table,
-)
+from .base_covers import _family, base_cover_lookup, base_cover_table
 from .cover import Cover
 from .errors import ConstructionError, UnknownCoverKeyError
 from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
@@ -103,7 +100,6 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
 def _tile(factors, rule):
     """Paths of a cover of the Hamming graph on ``factors``, as vertex
     indices of that graph, tiled from base-table boxes in depth-first order."""
-    family = FAMILY_HAMMING2 if len(factors) == 2 else FAMILY_HAMMING3
     table = base_cover_table()
     bases = {}  # key: the base cover's index paths, looked up once
     frames = {}  # (sizes, steps) as popped: what _frame makes of the box
@@ -115,7 +111,7 @@ def _tile(factors, rule):
         sizes, steps, start = stack.pop()
         frame = frames.get((sizes, steps))
         if frame is None:
-            frame = frames[sizes, steps] = _frame(family, table, bases, sizes, steps, rule)
+            frame = frames[sizes, steps] = _frame(table, bases, sizes, steps, rule)
         placed, subs, sub_steps, shifts = frame
         if placed is not None:
             paths.extend(map(tuple, map(map, repeat(start.__add__), placed)))
@@ -124,7 +120,7 @@ def _tile(factors, rule):
     return paths
 
 
-def _frame(family, table, bases, sizes, steps, rule):
+def _frame(table, bases, sizes, steps, rule):
     """What ``_tile`` does with a box of ``sizes`` under ``steps``, wherever
     its corner lies.  A base box gives (placed, None, None, None), where
     ``placed`` are the base cover's paths as index offsets from the corner.
@@ -134,6 +130,7 @@ def _frame(family, table, bases, sizes, steps, rule):
     order = sorted(range(len(sizes)), key=sizes.__getitem__)
     key = tuple(sizes[i] for i in order)
     steps = tuple(steps[i] for i in order)
+    family = _family(key)
     if (family, key) in table:
         if key not in bases:
             bases[key] = base_cover_lookup(family, key).paths

@@ -127,14 +127,9 @@ def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> Verify
     )
 
 
-def format_cover(c: Cover, comments=()) -> str:
-    """Cover text format: one path per line, space-separated vertex indices.
-
-    Optional comment lines are emitted first, prefixed with ``# ``.
-    """
-    lines = [f"# {comment}" for comment in comments]
-    lines.extend(map(" ".join, map(map, repeat(str), c.paths)))
-    return "\n".join(lines) + "\n"
+def format_cover(c: Cover) -> str:
+    """Cover text format: one path per line, space-separated vertex indices."""
+    return "\n".join(map(" ".join, map(map, repeat(str), c.paths))) + "\n"
 
 
 def parse_cover(text: str) -> Cover:

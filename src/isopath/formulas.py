@@ -46,26 +46,22 @@ def ip_multipartite(spec: PartiteSpec) -> FormulaResult:
 
 
 def ip_hamming2(n1: int, n2: int) -> FormulaResult:
-    """Isometric path number of K_{n1} x K_{n2}: ceil(n1*n2/3)."""
-    if n1 < 2 or n2 < 2:
-        raise InvalidSpecError("factors must be at least 2")
-    return FormulaResult(ceil_div(n1 * n2, 3), CASE_HAMMING2)
+    """Isometric path number of K_{n1} x K_{n2}: ceil(n1*n2/3), the
+    counting bound."""
+    return FormulaResult(ip_lower_bound_hamming(HammingSpec((n1, n2))), CASE_HAMMING2)
 
 
 def ip_hamming3(n1: int, n2: int, n3: int) -> FormulaResult:
     """Isometric path number of a product of three complete graphs.
 
-    ceil(n1*n2*n3/4), except n1*n2*n3/4 + 1 when two factors equal 2 and
-    the third is odd.  Order-insensitive.
+    ceil(n1*n2*n3/4), the counting bound, except n1*n2*n3/4 + 1 when two
+    factors equal 2 and the third is odd.  Order-insensitive.
     """
-    factors = (n1, n2, n3)
-    if any(f < 2 for f in factors):
-        raise InvalidSpecError("factors must be at least 2")
-    n = n1 * n2 * n3
-    a, b, c = sorted(factors)
+    spec = HammingSpec((n1, n2, n3))
+    a, b, c = sorted(spec.factors)
     if a == 2 and b == 2 and c % 2 == 1:
-        return FormulaResult(n // 4 + 1, CASE_HAMMING3_EXCEPTIONAL)
-    return FormulaResult(ceil_div(n, 4), CASE_HAMMING3_MAIN)
+        return FormulaResult(spec.n // 4 + 1, CASE_HAMMING3_EXCEPTIONAL)
+    return FormulaResult(ip_lower_bound_hamming(spec), CASE_HAMMING3_MAIN)
 
 
 def ip_lower_bound_hamming(spec: HammingSpec) -> int:

@@ -58,6 +58,14 @@ class TestFormula:
         code, _, _ = run(capsys, "formula", "--hamming", "2,2,2,2")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["formula", "construct"])
+    def test_a_small_factor_gives_the_spec_error(self, capsys, command):
+        # the formula checks its factors by the same rule as construct and gen
+        code, out, err = run(capsys, command, "--hamming", "1,3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: factors must be at least 2: (1, 3)\n"
+
 
 class TestGen:
     def test_round_trip_byte_identical(self, capsys, tmp_path):

@@ -378,7 +378,7 @@ def test_hamming_sweep_is_byte_stable():
         except Exception as exc:
             digest.update(f"raises {type(exc).__name__}\n".encode("ascii"))
             continue
-        digest.update(format_cover(cover, comments=(cover.note,)).encode("ascii"))
+        digest.update(f"# {cover.note}\n{format_cover(cover)}".encode("ascii"))
     assert digest.hexdigest() == HAMMING_SWEEP_SHA256
 
 
@@ -402,7 +402,7 @@ def test_hamming_covers_past_the_sweep_are_byte_stable():
     for factors in specs:
         digest.update((",".join(map(str, factors)) + "\n").encode("ascii"))
         cover = cover_hamming2(*factors) if len(factors) == 2 else cover_hamming3(*factors)
-        digest.update(format_cover(cover, comments=(cover.note,)).encode("ascii"))
+        digest.update(f"# {cover.note}\n{format_cover(cover)}".encode("ascii"))
     assert digest.hexdigest() == HAMMING_LARGE_SHA256
 
 # SHA-256 of the multipartite sweep below; any change to a constructed cover,
@@ -424,7 +424,7 @@ def test_multipartite_sweep_is_byte_stable():
         except Exception as exc:
             digest.update(f"raises {type(exc).__name__}\n".encode("ascii"))
             continue
-        digest.update(format_cover(cover, comments=(cover.note,)).encode("ascii"))
+        digest.update(f"# {cover.note}\n{format_cover(cover)}".encode("ascii"))
     assert digest.hexdigest() == MULTIPARTITE_SWEEP_SHA256
 
 
@@ -445,5 +445,5 @@ def test_multipartite_covers_past_the_sweep_are_byte_stable():
     for sizes in specs:
         digest.update((",".join(map(str, sizes)) + "\n").encode("ascii"))
         cover = cover_multipartite(PartiteSpec(sizes))
-        digest.update(format_cover(cover, comments=(cover.note,)).encode("ascii"))
+        digest.update(f"# {cover.note}\n{format_cover(cover)}".encode("ascii"))
     assert digest.hexdigest() == MULTIPARTITE_LARGE_SHA256

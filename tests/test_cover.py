@@ -350,7 +350,3 @@ class TestCoverTextFormat:
         with pytest.raises(FormatError):
             parse_cover("0 x 1\n")
 
-    def test_format_with_comments(self):
-        text = format_cover(Cover(((0, 1),)), comments=["k: v"])
-        assert text == "# k: v\n0 1\n"
-

@@ -119,6 +119,12 @@ class TestIpHamming2:
         with pytest.raises(InvalidSpecError):
             ip_hamming2(1, 3)
 
+    @pytest.mark.parametrize("factors", [(2.5, 3), (3, 2.5), ("x", 3)])
+    def test_rejects_non_integer_factors(self, factors):
+        # int would truncate 2.5 and raise a bare ValueError on "x"
+        with pytest.raises(InvalidSpecError, match="factors must be integers"):
+            ip_hamming2(*factors)
+
 
 class TestIpHamming3:
     @pytest.mark.parametrize(
@@ -150,6 +156,11 @@ class TestIpHamming3:
     def test_rejects_small_factor(self):
         with pytest.raises(InvalidSpecError):
             ip_hamming3(2, 1, 3)
+
+    @pytest.mark.parametrize("factors", [(2.5, 2, 3), (2, 2, 2.5), ("x", 2, 3)])
+    def test_rejects_non_integer_factors(self, factors):
+        with pytest.raises(InvalidSpecError, match="factors must be integers"):
+            ip_hamming3(*factors)
 
 
 class TestLowerBounds:
