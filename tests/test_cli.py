@@ -649,6 +649,157 @@ class TestParserReuse:
         assert outs[0] == outs[1]
 
 
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a usage exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+USAGE = "usage: isopath [-h] {gen,formula,construct,verify,solve,paths,selftest} ...\n"
+SOLVE_USAGE = "usage: isopath solve [-h] -g GRAPH [--budget BUDGET] [-o OUTPUT]\n"
+SOLVE_NEEDS_GRAPH = "isopath solve: error: the following arguments are required: -g/--graph\n"
+
+
+class TestUsagePaths:
+    """An argv with no command, an unknown one, a missing option or a word
+    left over: exit code, stdout and stderr pinned byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def terminal_width(self, monkeypatch):
+        # argparse wraps its help to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            ([], (1, "", USAGE + "isopath: error: the following arguments are required: command\n")),
+            (["-h"], (0, USAGE + (
+                "\n"
+                "Isometric path covers: formulas, constructions, exact solving, verification.\n"
+                "\n"
+                "positional arguments:\n"
+                "  {gen,formula,construct,verify,solve,paths,selftest}\n"
+                "    gen                 generate a family graph in the graph text format\n"
+                "    formula             print the closed-form isometric path number\n"
+                "    construct           build an optimal cover and verify it\n"
+                "    verify              verify a cover file against a graph file\n"
+                "    solve               exact minimum cover by branch and bound\n"
+                "    paths               enumerate the isometric path pool\n"
+                "    selftest            formula-vs-solver sweep on small instances\n"
+                "\n"
+                "options:\n"
+                "  -h, --help            show this help message and exit\n"
+            ), "")),
+            (["bogus"], (1, "", USAGE + (
+                "isopath: error: argument command: invalid choice: 'bogus' (choose from "
+                "'gen', 'formula', 'construct', 'verify', 'solve', 'paths', 'selftest')\n"
+            ))),
+            (["solve"], (1, "", SOLVE_USAGE + SOLVE_NEEDS_GRAPH)),
+            (["solve", "-g", "g.txt", "--bogus"],
+             (1, "", USAGE + "isopath: error: unrecognized arguments: --bogus\n")),
+            (["construct", "--hamming", "3,3", "extra"],
+             (1, "", USAGE + "isopath: error: unrecognized arguments: extra\n")),
+        ],
+        ids=["empty", "help", "unknown", "missing-graph", "unknown-option", "extra-word"],
+    )
+    def test_pinned(self, capsys, argv, expected):
+        assert outcome(capsys, argv) == expected
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["formula", "--hamming", "3,3"], (0, "ip=3 case=HAMMING2\n", "")),
+            (["solve"], (1, "", SOLVE_USAGE + SOLVE_NEEDS_GRAPH)),
+        ],
+        ids=["formula", "missing-graph"],
+    )
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch, argv, expected):
+        # the [project.scripts] entry point calls main() with no argument
+        monkeypatch.setattr(sys, "argv", ["isopath", *argv])
+        assert outcome(capsys, None) == expected
+
+
+# the 3-cube (vertex 4a + 2b + c), with a comment and a blank line
+CUBE = (
+    b"c the 3-cube\np 8 12\n"
+    b"e 0 1\ne 0 2\ne 0 4\ne 1 3\ne 1 5\ne 2 3\n\n"
+    b"e 2 6\ne 3 7\ne 4 5\ne 4 6\ne 5 7\ne 6 7\n"
+)
+CUBE_COVERS = {
+    "valid": b"# two diametral paths\n0 1 3 7\n\n2 6 4 5\n",
+    "defects": b"# defects\n0 1 3 2\n\n0 3\n4 8\n4 5 7\n",
+}
+
+
+class TestFileIO:
+    """Graph and cover files are read whatever their line ends, and a
+    written file holds exactly the new bytes."""
+
+    def files(self, tmp_path, cover, newline):
+        g = tmp_path / "g.txt"
+        c = tmp_path / "c.cover"
+        g.write_bytes(CUBE.replace(b"\n", newline))
+        c.write_bytes(CUBE_COVERS[cover].replace(b"\n", newline))
+        return str(g), str(c)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("cover", sorted(CUBE_COVERS))
+    @pytest.mark.parametrize("command", ["verify", "solve", "paths"])
+    def test_line_ends_give_the_lf_outcome(self, capsys, tmp_path, command, cover, newline):
+        outcomes = []
+        for ending in (b"\n", newline):
+            g, c = self.files(tmp_path, cover, ending)
+            argv = {
+                "verify": ["verify", "-g", g, "-c", c],
+                "solve": ["solve", "-g", g],
+                "paths": ["paths", "-g", g],
+            }[command]
+            outcomes.append(outcome(capsys, argv))
+        lf, twin = outcomes
+        assert lf[0] == (2 if command == "verify" and cover == "defects" else 0)
+        assert lf[2] == ""
+        assert twin == lf
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_a_bad_edge_reports_its_line(self, capsys, tmp_path, newline):
+        g = tmp_path / "g.txt"
+        g.write_bytes(b"p 3 2\ne 0 1\ne 1 x\n".replace(b"\n", newline))
+        assert outcome(capsys, ["solve", "-g", str(g)]) == (1, "", "error: line 3: bad edge line\n")
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["construct", "--hamming", "2,2"], b"0 1\n2 3\n"),
+            (["gen", "--multipartite", "2,1"], b"p 3 2\ne 0 2\ne 1 2\n"),
+        ],
+        ids=["construct", "gen"],
+    )
+    def test_output_replaces_a_longer_file(self, capsys, tmp_path, argv, expected):
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * 10_000 + b"\n")
+        code, _, err = outcome(capsys, [*argv, "-o", str(out)])
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("command", ["construct", "gen"])
+    def test_output_into_a_missing_directory_exits_1(self, capsys, tmp_path, command):
+        out = str(tmp_path / "missing" / "c.cover")
+        assert outcome(capsys, [command, "--hamming", "2,2", "-o", out]) == (
+            1, "", f"error: [Errno 2] No such file or directory: {out!r}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["construct", "gen"])
+    def test_output_onto_a_directory_exits_1(self, capsys, tmp_path, command):
+        out = str(tmp_path)
+        assert outcome(capsys, [command, "--hamming", "2,2", "-o", out]) == (
+            1, "", f"error: [Errno 21] Is a directory: {out!r}\n"
+        )
+
+
 PARSER_PROBE = """\
 import sys
 sys.path.insert(0, sys.argv[1])
