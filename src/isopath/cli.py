@@ -9,6 +9,7 @@ grammar.
 
 import argparse
 import functools
+import os
 import sys
 from itertools import product
 
@@ -90,20 +91,29 @@ def _parse_pairs(text, r):
 def _write_text(path, text):
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
+        return
+    # one encode and raw writes, with no text layer
+    view = memoryview(text.encode("ascii"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _read_text(path):
-    with open(path, "r", encoding="ascii") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            # the whole file is decoded at once, so exc.start is its offset
-            raise FormatError(
-                f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not ASCII"
-            ) from None
+    # one read and one decode, with no text layer: line ends stay as they
+    # are, since parse_graph and parse_cover split with str.splitlines, and
+    # exc.start is the offset in the file
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not ASCII"
+        ) from None
 
 
 def _vertex_labels(spec):
@@ -358,11 +368,11 @@ def _family_group(parser):
 
 @functools.cache
 def _parser():
-    """The parser, built on the first call and kept for the process: building
-    it costs about twenty times what one parse does.  It binds only the
-    _cmd_* functions, which look up everything else at call time, so a name
-    patched in this module (as the benchmark's tracer and the tests do)
-    still takes effect."""
+    """The parser and its subcommand parsers by name, built on the first call
+    and kept for the process: building them costs about twenty times what
+    one parse does.  They bind only the _cmd_* functions, which look up
+    everything else at call time, so a name patched in this module (as the
+    benchmark's tracer and the tests do) still takes effect."""
     parser = _Parser(
         prog="isopath",
         description="Isometric path covers: formulas, constructions, exact solving, verification.",
@@ -411,11 +421,20 @@ def _parser():
     )
     selftest.set_defaults(func=_cmd_selftest)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    # A named command is parsed by its own parser, as the full parser would
+    # hand it on.  With no command, an unknown one or words left over, the
+    # full parser parses again and prints its own usage and error.
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extras:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (InvalidSpecError, FormatError, OutOfRangeError,
