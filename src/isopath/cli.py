@@ -430,10 +430,10 @@ def main(argv=None):
     # A named command is parsed by its own parser, as the full parser would
     # hand it on.  With no command, an unknown one or words left over, the
     # full parser parses again and prints its own usage and error.
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if command is None or extras:
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+    if sub is None or extras:
         args = parser.parse_args(argv)
     try:
         return args.func(args)
