@@ -405,6 +405,32 @@ def test_hamming_covers_past_the_sweep_are_byte_stable():
         digest.update(f"# {cover.note}\n{format_cover(cover)}".encode("ascii"))
     assert digest.hexdigest() == HAMMING_LARGE_SHA256
 
+
+# SHA-256 of every sorted 3-factor spec whose largest side is 13..20; same
+# format as the sweep digest.  It pins the sub-boxes that only bigger boxes
+# reach: composites such as (2, 5, 10) or (5, 5, 9), 2 x 2 x 2 grids inside
+# odd boxes and long slab chains.
+HAMMING3_BEYOND_SWEEP_SHA256 = (
+    "1fb0de0ddb425b0c8b514570e911bd522b12a452ff4f8d2215a63d1a09e904a7"
+)
+
+
+def test_sorted_three_factor_covers_past_the_sweep_are_byte_stable():
+    """Every a <= b <= c with 2 <= a and 13 <= c <= 20: 1,044 specs."""
+    specs = [
+        (a, b, c)
+        for c in range(13, 21)
+        for a in range(2, c + 1)
+        for b in range(a, c + 1)
+    ]
+    assert len(specs) == 1044
+    digest = hashlib.sha256()
+    for factors in specs:
+        digest.update((",".join(map(str, factors)) + "\n").encode("ascii"))
+        cover = cover_hamming3(*factors)
+        digest.update(f"# {cover.note}\n{format_cover(cover)}".encode("ascii"))
+    assert digest.hexdigest() == HAMMING3_BEYOND_SWEEP_SHA256
+
 # SHA-256 of the multipartite sweep below; any change to a constructed cover,
 # its path order or its note changes it.
 MULTIPARTITE_SWEEP_SHA256 = (
