@@ -207,8 +207,10 @@ def _cmd_construct(args):
         cover = cover_multipartite(spec)
     else:
         factors = _parse_sizes(args.hamming)
+        # the factor count is checked before the graph, as by formula
+        build = _hamming_family(factors)[1]
         g = make_hamming(HammingSpec(factors))
-        cover = _hamming_family(factors)[1](*factors)
+        cover = build(*factors)
     report = verify_cover(g, cover)
     if not report.valid:
         raise ConstructionError("constructed cover failed verification")

@@ -6,9 +6,12 @@ largest part through one of the smallest other part), then covers the
 clique of the last vertices.  Hamming covers come from a box-tiling
 loop: a box (a product of coordinate ranges, a distance-invariant
 induced subgraph) is either a key of the built-in base-cover table or is
-cut into smaller boxes by the split rule that the constructor hands in.
-The loop holds no rule for the factor count: the table names the family
-of each key.
+cut into smaller boxes by one split rule, ``_split``, for every factor
+count r: a slab of r + 1 layers (of 2 near the end) off the largest
+factor, so the counting bound ceil(n/(r+1)) adds up across the cut.  Only
+three factors have exceptions: the paper's 2 x 2 x odd family, the
+2 x 2 x 2 grid of an all-even box, and fixed cuts of (2, 5, 6) and
+(5, 5, 5).  The table names the family of each key.
 
 Tie-breaking everywhere is "lowest available index" so identical inputs
 produce byte-identical covers.
@@ -90,14 +93,45 @@ def cover_multipartite(spec: PartiteSpec) -> Cover:
 
 
 # --- Hamming constructions -------------------------------------------------
-#
-# A split rule takes the sorted factors of a box that is not in the base
-# table and returns its sub-boxes as (factors, offsets) in that sorted frame.
-# It returns none for a base key that no split shrinks, so that a key lost
-# from the table is reported instead of split into itself forever.
 
 
-def _tile(factors, rule):
+def _split(key):
+    """Sub-boxes of a box whose sorted factors ``key`` are not a base key,
+    as (factors, offsets) in that sorted frame; none for a base key that no
+    split shrinks, so that a key lost from the table is reported instead of
+    split into itself forever.
+
+    The slab rule, for any factor count r: cut the largest factor c into a
+    slab of k = r + 1 layers and the rest when c >= r + 3, else of k = 2
+    layers.  A slab of r + 1 layers has (r + 1) times the other factors'
+    product as vertices, so the counting bound ceil(n/(r+1)) adds up
+    across the cut.  Three factors have three exceptions: 2 x 2 x odd, the
+    paper's exceptional family, takes 2 x 2 x 2 blocks whose last two
+    overlap on one layer; an all-even box takes the 2 x 2 x 2 grid, as
+    r + 1 = 4 divides 2^3; and (2, 5, 6) and (5, 5, 5) take fixed cuts:
+    slabs would leave (2, 5, 6) one path over the bound, and would change
+    the covers built through (5, 5, 5)."""
+    c = key[-1]
+    if len(key) == 3:
+        a, b, _ = key
+        if a == b == 2 and c & 1:
+            return [((2, 2, 2), (0, 0, k)) for k in [*range(0, c - 2, 2), c - 2]]
+        if not (a | b | c) & 1 and c > 2:
+            corners = product(range(0, a, 2), range(0, b, 2), range(0, c, 2))
+            return [((2, 2, 2), corner) for corner in corners]
+        if key == (2, 5, 6):
+            return [((2, 3, 6), (0, 0, 0)), ((2, 2, 6), (0, 3, 0))]
+        if key == (5, 5, 5):
+            return [((5, 5, 3), (0, 0, 0)), ((5, 5, 2), (0, 0, 3))]
+    r = len(key)
+    k = r + 1 if c >= r + 3 else 2
+    if c - k < 2:
+        return []
+    head, corner = key[:-1], (0,) * (r - 1)
+    return [(head + (k,), corner + (0,)), (head + (c - k,), corner + (k,))]
+
+
+def _tile(factors):
     """Paths of a cover of the Hamming graph on ``factors``, as vertex
     indices of that graph, tiled from base-table boxes in depth-first order."""
     table = base_cover_table()
@@ -111,7 +145,7 @@ def _tile(factors, rule):
         sizes, steps, start = stack.pop()
         frame = frames.get((sizes, steps))
         if frame is None:
-            frame = frames[sizes, steps] = _frame(table, bases, sizes, steps, rule)
+            frame = frames[sizes, steps] = _frame(table, bases, sizes, steps)
         placed, subs, sub_steps, shifts = frame
         if placed is not None:
             paths.extend(map(tuple, map(map, repeat(start.__add__), placed)))
@@ -120,7 +154,7 @@ def _tile(factors, rule):
     return paths
 
 
-def _frame(table, bases, sizes, steps, rule):
+def _frame(table, bases, sizes, steps):
     """What ``_tile`` does with a box of ``sizes`` under ``steps``, wherever
     its corner lies.  A base box gives (placed, None, None, None), where
     ``placed`` are the base cover's paths as index offsets from the corner.
@@ -137,7 +171,7 @@ def _frame(table, bases, sizes, steps, rule):
         # the offset of each base vertex, in the base graph's index order
         offset = [sum(map(mul, c, steps)) for c in product(*map(range, key))]
         return [tuple(map(offset.__getitem__, p)) for p in bases[key]], None, None, None
-    subs = rule(key)
+    subs = _split(key)
     if not subs:
         raise UnknownCoverKeyError(f"{family} {key}")
     # reversed, so the first sub-box is popped, and emitted, first
@@ -145,8 +179,8 @@ def _frame(table, bases, sizes, steps, rule):
     return None, subs, steps, [sum(map(mul, shift, steps)) for shift in shifts]
 
 
-def _hamming_cover(factors, expected, rule):
-    paths = _tile(factors, rule)
+def _hamming_cover(factors, expected):
+    paths = _tile(factors)
     if len(paths) != expected:
         raise ConstructionError(
             f"built {len(paths)} paths for {' x '.join(f'K_{n}' for n in factors)}, "
@@ -158,55 +192,17 @@ def _hamming_cover(factors, expected, rule):
     )
 
 
-def _h2_rule(key):
-    a, b = key
-    if b == 4:
-        return [((a, 2), (0, 0)), ((a, 2), (0, 2))]
-    if b < 4:  # (2, 2), (2, 3) or (3, 3)
-        return []
-    return [((a, 3), (0, 0)), ((a, b - 3), (0, 3))]
-
-
 def cover_hamming2(n1: int, n2: int) -> Cover:
     """Valid cover of K_{n1} x K_{n2} of size ceil(n1*n2/3): base tables for
-    both factors <= 4, otherwise split one factor range into 3 + rest."""
-    return _hamming_cover((n1, n2), ip_hamming2(n1, n2).value, _h2_rule)
-
-
-# composite entries: split one factor of the key into two stacked slices
-_H3_COMPOSITES = {
-    (2, 5, 6): [((2, 3, 6), (0, 0, 0)), ((2, 2, 6), (0, 3, 0))],
-    (3, 3, 5): [((3, 3, 2), (0, 0, 0)), ((3, 3, 3), (0, 0, 2))],
-    (5, 5, 5): [((5, 5, 3), (0, 0, 0)), ((5, 5, 2), (0, 0, 3))],
-}
-
-
-def _h3_rule(key):
-    a, b, c = key
-    if key == (2, 2, 2):
-        return []
-    if a % 2 == 0 and b % 2 == 0 and c % 2 == 0:
-        return [
-            ((2, 2, 2), (i, j, k))
-            for i in range(0, a, 2)
-            for j in range(0, b, 2)
-            for k in range(0, c, 2)
-        ]
-    if a == 2 and b == 2 and c % 2 == 1:
-        # c+1 paths from (c+1)/2 blocks; the last two overlap on layer c-2
-        return [((2, 2, 2), (0, 0, k)) for k in [*range(0, c - 2, 2), c - 2]]
-    if key in _H3_COMPOSITES:
-        return _H3_COMPOSITES[key]
-    if c >= 7 or (c == 6 and a >= 3):
-        return [((a, b, 4), (0, 0, 0)), ((a, b, c - 4), (0, 0, 4))]
-    if 4 in key:
-        # largest factor is >= 4 here; split it into 2 + rest
-        return [((a, b, 2), (0, 0, 0)), ((a, b, c - 2), (0, 0, 2))]
-    raise ConstructionError(f"no construction rule for factors {key}")
+    both factors <= 4, otherwise slabs of 3 (then 2) layers cut off the
+    larger factor by ``_split``."""
+    return _hamming_cover((n1, n2), ip_hamming2(n1, n2).value)
 
 
 def cover_hamming3(n1: int, n2: int, n3: int) -> Cover:
-    """Valid cover of K_{n1} x K_{n2} x K_{n3} matching ip_hamming3: 2x2x2
-    tiling for all-even factors, overlapping blocks for the exceptional
-    (2,2,odd) family, base/composite tables and range splits otherwise."""
-    return _hamming_cover((n1, n2, n3), ip_hamming3(n1, n2, n3).value, _h3_rule)
+    """Valid cover of K_{n1} x K_{n2} x K_{n3} matching ip_hamming3: base
+    tables, slabs of 4 (then 2) layers cut off the largest factor by
+    ``_split``, and its three-factor exceptions: overlapping 2 x 2 x 2
+    blocks for the exceptional (2,2,odd) family, the 2 x 2 x 2 grid for
+    all-even factors and fixed cuts of (2,5,6) and (5,5,5)."""
+    return _hamming_cover((n1, n2, n3), ip_hamming3(n1, n2, n3).value)

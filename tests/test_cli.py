@@ -55,8 +55,12 @@ class TestFormula:
         assert err == "error: malformed size list ''\n"
 
     def test_wrong_factor_count_exits_1(self, capsys):
-        code, _, _ = run(capsys, "formula", "--hamming", "2,2,2,2")
-        assert code == 1
+        # construct checks the factor count before it builds the graph
+        for command in ("formula", "construct"):
+            code, out, err = run(capsys, command, "--hamming", "2,2,2,2")
+            assert code == 1
+            assert out == ""
+            assert err == "error: --hamming takes 2 or 3 factors\n"
 
     @pytest.mark.parametrize("command", ["formula", "construct"])
     def test_a_small_factor_gives_the_spec_error(self, capsys, command):

@@ -5,7 +5,8 @@ import hashlib
 import os
 import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
+from math import prod
 
 import pytest
 
@@ -328,6 +329,54 @@ class TestCoverHamming3:
     def test_rejects_small_factor(self):
         with pytest.raises(InvalidSpecError):
             cover_hamming3(2, 2, 1)
+
+
+def _cells_held(key, subs):
+    """How many sub-boxes hold each cell of the box cut at every face of a
+    sub-box, and how many such cells the box has."""
+    cuts = []
+    for axis, side in enumerate(key):
+        faces = {0, side}
+        for sizes, corner in subs:
+            faces.update((corner[axis], corner[axis] + sizes[axis]))
+        cuts.append(sorted(faces))
+    held = Counter()
+    for sizes, corner in subs:
+        held.update(product(*(
+            range(cut.index(o), cut.index(o + s)) for cut, o, s in zip(cuts, corner, sizes)
+        )))
+    return held, prod(len(cut) - 1 for cut in cuts)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_every_split_shrinks_and_tiles_its_box(r):
+    """Every sorted key of r factors with sides up to 24 that is not a base
+    key splits into smaller boxes inside it.  Except for 2 x 2 x odd, whose
+    last two blocks share one 2 x 2 layer, the sub-boxes tile the box, and
+    a slab cut off a largest factor c >= r + 3 has r + 1 layers, so the
+    counting bound adds up across the cut."""
+    table = base_cover_table()
+    for key in combinations_with_replacement(range(2, 25), r):
+        if (f"hamming{r}", key) in table:
+            continue
+        subs = construct._split(key)
+        assert subs, key
+        n = prod(key)
+        for sizes, corner in subs:
+            assert len(sizes) == len(corner) == r, key
+            assert all(0 <= o and o + s <= side for s, o, side in zip(sizes, corner, key)), key
+            assert prod(sizes) < n, key
+        total = sum(prod(sizes) for sizes, _ in subs)
+        if key[:2] == (2, 2) and r == 3 and key[2] % 2:
+            assert total == n + 4, key
+            continue
+        held, cells = _cells_held(key, subs)
+        assert set(held.values()) == {1} and len(held) == cells, key
+        assert total == n, key
+        c = key[-1]
+        slab, rest = subs[0][0], subs[-1][0]
+        if len(subs) == 2 and slab[:-1] == rest[:-1] == key[:-1] and c >= r + 3:
+            assert slab[-1] == r + 1 and prod(slab) % (r + 1) == 0, key
 
 
 def _differing(x, y):

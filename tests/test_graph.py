@@ -660,6 +660,9 @@ class TestGraphInvariants:
             for v in nbrs:
                 assert u in g.neighbors(v)
 
+    def test_repr_names_the_sizes(self):
+        assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
+
     def test_repeated_edges_are_stored_once(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.m == 1
