@@ -111,8 +111,8 @@ def _split(key):
     r + 1 = 4 divides 2^3; and (2, 5, 6) and (5, 5, 5) take fixed cuts:
     slabs would leave (2, 5, 6) one path over the bound, and would change
     the covers built through (5, 5, 5)."""
-    c = key[-1]
-    if len(key) == 3:
+    r, c = len(key), key[-1]
+    if r == 3:
         a, b, _ = key
         if a == b == 2 and c & 1:
             return [((2, 2, 2), (0, 0, k)) for k in [*range(0, c - 2, 2), c - 2]]
@@ -123,7 +123,6 @@ def _split(key):
             return [((2, 3, 6), (0, 0, 0)), ((2, 2, 6), (0, 3, 0))]
         if key == (5, 5, 5):
             return [((5, 5, 3), (0, 0, 0)), ((5, 5, 2), (0, 0, 3))]
-    r = len(key)
     k = r + 1 if c >= r + 3 else 2
     if c - k < 2:
         return []
