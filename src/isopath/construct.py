@@ -193,8 +193,8 @@ def _hamming_cover(factors, expected):
 
 def cover_hamming2(n1: int, n2: int) -> Cover:
     """Valid cover of K_{n1} x K_{n2} of size ceil(n1*n2/3): base tables for
-    both factors <= 4, otherwise slabs of 3 (then 2) layers cut off the
-    larger factor by ``_split``."""
+    2 x 2, 2 x 3, 2 x 4 and 3 x 3, and slabs of 3 (then 2) layers cut off
+    the larger factor by ``_split``."""
     return _hamming_cover((n1, n2), ip_hamming2(n1, n2).value)
 
 

@@ -480,6 +480,7 @@ def test_sorted_three_factor_covers_past_the_sweep_are_byte_stable():
         digest.update(f"# {cover.note}\n{format_cover(cover)}".encode("ascii"))
     assert digest.hexdigest() == HAMMING3_BEYOND_SWEEP_SHA256
 
+
 # SHA-256 of the multipartite sweep below; any change to a constructed cover,
 # its path order or its note changes it.
 MULTIPARTITE_SWEEP_SHA256 = (
