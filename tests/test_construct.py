@@ -412,12 +412,10 @@ HAMMING_SWEEP_SHA256 = (
 )
 
 
-def test_hamming_sweep_is_byte_stable():
-    """Every 2-factor spec with sides 2..40 and every 3-factor spec with
-    sides 2..12: the spec line, then the cover text with its note as a
-    comment, or the exception type for a spec that raises."""
-    specs = [(a, b) for a, b in product(range(2, 41), repeat=2)]
-    specs += [(a, b, c) for a, b, c in product(range(2, 13), repeat=3)]
+def _hamming_digest(specs):
+    """SHA-256 over ``specs`` in order: the spec line, then the cover text
+    with its note as a comment, or the exception type for a spec that
+    raises."""
     digest = hashlib.sha256()
     for factors in specs:
         digest.update((",".join(map(str, factors)) + "\n").encode("ascii"))
@@ -428,8 +426,31 @@ def test_hamming_sweep_is_byte_stable():
             digest.update(f"raises {type(exc).__name__}\n".encode("ascii"))
             continue
         digest.update(f"# {cover.note}\n{format_cover(cover)}".encode("ascii"))
-    assert digest.hexdigest() == HAMMING_SWEEP_SHA256
+    return digest.hexdigest()
 
+
+def _hamming_sweep_specs():
+    """Every 2-factor spec with sides 2..40, then every 3-factor spec with
+    sides 2..12."""
+    specs = [(a, b) for a, b in product(range(2, 41), repeat=2)]
+    specs += [(a, b, c) for a, b, c in product(range(2, 13), repeat=3)]
+    return specs
+
+
+def _sorted_three_factor_specs_past_the_sweep():
+    """Every a <= b <= c with 2 <= a and 13 <= c <= 20: 1,044 specs."""
+    return [
+        (a, b, c)
+        for c in range(13, 21)
+        for a in range(2, c + 1)
+        for b in range(a, c + 1)
+    ]
+
+
+def test_hamming_sweep_is_byte_stable():
+    """Every 2-factor spec with sides 2..40 and every 3-factor spec with
+    sides 2..12."""
+    assert _hamming_digest(_hamming_sweep_specs()) == HAMMING_SWEEP_SHA256
 
 
 # SHA-256 of the Hamming specs below, past the sweep's sides, up to the
@@ -447,12 +468,7 @@ def test_hamming_covers_past_the_sweep_are_byte_stable():
     specs += [(2, 2, c) for c in range(13, 62, 2)]
     specs += [(3, 3, c) for c in range(13, 43)]
     specs += [(14, 15), (20, 21), (12, 12, 12)]
-    digest = hashlib.sha256()
-    for factors in specs:
-        digest.update((",".join(map(str, factors)) + "\n").encode("ascii"))
-        cover = cover_hamming2(*factors) if len(factors) == 2 else cover_hamming3(*factors)
-        digest.update(f"# {cover.note}\n{format_cover(cover)}".encode("ascii"))
-    assert digest.hexdigest() == HAMMING_LARGE_SHA256
+    assert _hamming_digest(specs) == HAMMING_LARGE_SHA256
 
 
 # SHA-256 of every sorted 3-factor spec whose largest side is 13..20; same
@@ -465,20 +481,31 @@ HAMMING3_BEYOND_SWEEP_SHA256 = (
 
 
 def test_sorted_three_factor_covers_past_the_sweep_are_byte_stable():
-    """Every a <= b <= c with 2 <= a and 13 <= c <= 20: 1,044 specs."""
-    specs = [
-        (a, b, c)
-        for c in range(13, 21)
-        for a in range(2, c + 1)
-        for b in range(a, c + 1)
-    ]
+    specs = _sorted_three_factor_specs_past_the_sweep()
     assert len(specs) == 1044
-    digest = hashlib.sha256()
-    for factors in specs:
-        digest.update((",".join(map(str, factors)) + "\n").encode("ascii"))
-        cover = cover_hamming3(*factors)
-        digest.update(f"# {cover.note}\n{format_cover(cover)}".encode("ascii"))
-    assert digest.hexdigest() == HAMMING3_BEYOND_SWEEP_SHA256
+    assert _hamming_digest(specs) == HAMMING3_BEYOND_SWEEP_SHA256
+
+
+# SHA-256 of the specs of the two digests above, except the 3-factor specs
+# whose factors are all 1 mod 4 and at least 5: cutting slabs of 4 layers
+# keeps each factor's residue mod 4, so these are the only boxes whose
+# tiling reaches a (5, 5, 5) box.  Same format as the sweep digest.
+HAMMING_OFF_5_5_5_SHA256 = (
+    "b19fc759a1ab7aa54c78a22a4a0d1ea7b3b34e0775c3c730caaa99a07de2f7ba"
+)
+
+
+def _through_5_5_5(factors):
+    return len(factors) == 3 and all(n >= 5 and n % 4 == 1 for n in factors)
+
+
+def test_hamming_covers_that_never_reach_5_5_5_are_byte_stable():
+    """The sweep and the sorted 3-factor specs past it, without the 8 + 16
+    specs whose tiling passes through (5, 5, 5)."""
+    specs = _hamming_sweep_specs() + _sorted_three_factor_specs_past_the_sweep()
+    kept = [factors for factors in specs if not _through_5_5_5(factors)]
+    assert len(specs) - len(kept) == 8 + 16
+    assert _hamming_digest(kept) == HAMMING_OFF_5_5_5_SHA256
 
 
 # SHA-256 of the multipartite sweep below; any change to a constructed cover,
