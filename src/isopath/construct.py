@@ -10,8 +10,9 @@ cut into smaller boxes by one split rule, ``_split``, for every factor
 count r: a slab of r + 1 layers (of 2 near the end) off the largest
 factor, so the counting bound ceil(n/(r+1)) adds up across the cut.  Only
 three factors have exceptions: the paper's 2 x 2 x odd family, the
-2 x 2 x 2 grid of an all-even box, and fixed cuts of (2, 5, 6) and
-(5, 5, 5).  The table names the family of each key.
+2 x 2 x 2 grid of an all-even box, and a fixed cut of (2, 5, 6).  For 2
+and 3 factors the tiling provably meets ip (the proof is ``_split``'s
+docstring).  The table names the family of each key.
 
 Tie-breaking everywhere is "lowest available index" so identical inputs
 produce byte-identical covers.
@@ -101,16 +102,32 @@ def _split(key):
     split shrinks, so that a key lost from the table is reported instead of
     split into itself forever.
 
-    The slab rule, for any factor count r: cut the largest factor c into a
-    slab of k = r + 1 layers and the rest when c >= r + 3, else of k = 2
-    layers.  A slab of r + 1 layers has (r + 1) times the other factors'
-    product as vertices, so the counting bound ceil(n/(r+1)) adds up
-    across the cut.  Three factors have three exceptions: 2 x 2 x odd, the
-    paper's exceptional family, takes 2 x 2 x 2 blocks whose last two
-    overlap on one layer; an all-even box takes the 2 x 2 x 2 grid, as
-    r + 1 = 4 divides 2^3; and (2, 5, 6) and (5, 5, 5) take fixed cuts:
-    slabs would leave (2, 5, 6) one path over the bound, and would change
-    the covers built through (5, 5, 5)."""
+    The slab rule, for r factors: cut the largest factor c into a slab of
+    k = r + 1 layers and the rest when c >= r + 3, else of k = 2 layers.
+    Three factors have three exceptions: 2 x 2 x odd, the paper's
+    exceptional family, takes 2 x 2 x 2 blocks whose last two overlap on
+    one layer; an all-even box with c > 2 takes the 2 x 2 x 2 grid, as
+    r + 1 = 4 divides 2^3; and (2, 5, 6) takes the fixed cut (2, 3, 6) +
+    (2, 2, 6), as slabs would leave it one path over the bound.
+
+    For r = 2 and 3 the tiling meets ip, ceil(n/(r+1)), or n/4 + 1 for
+    2 x 2 x odd, by strong induction on n, as every sub-box is smaller:
+    - A base key holds exactly ceil(n/(r+1)) paths (checked at load) and
+      none is 2 x 2 x odd.
+    - Slab: a slab of r + 1 layers has (r + 1) times the other factors'
+      product as vertices, so ceil(n/(r+1)) adds exactly across the cut
+      unless a child is 2 x 2 x odd.  A slab (..., 4) never is, and a rest
+      is only for (2, b, 6) with b odd: (2, 3, 6) is a base key and
+      (2, 5, 6) the fixed cut.
+    - 2-layer cut: only when c <= r + 2, which leaves 9 keys, each checked
+      once by a test: (3, 4), (4, 4), (3, 4, 4), (2, 4, 5), (3, 3, 5),
+      (3, 4, 5), (4, 4, 5), (4, 5, 5) and (5, 5, 5).  Every key with
+      c - 2 < 2 is a base key or (2, 2, 3).
+    - Exceptions: the grid takes n/8 blocks of 2 paths, n/4; the overlap
+      (c + 1)/2 blocks of 2, n/4 + 1; (2, 5, 6) takes 9 + 6 = 15.
+    The proof covers r = 2 and 3 only.  At r = 4 the 2-layer cut misses the
+    bound: (2, 2, 2, 4) becomes two K2^4 halves, 4 + 4 = 8 paths against
+    ceil(32/5) = 7."""
     r, c = len(key), key[-1]
     if r == 3:
         a, b, _ = key
@@ -121,8 +138,6 @@ def _split(key):
             return [((2, 2, 2), corner) for corner in corners]
         if key == (2, 5, 6):
             return [((2, 3, 6), (0, 0, 0)), ((2, 2, 6), (0, 3, 0))]
-        if key == (5, 5, 5):
-            return [((5, 5, 3), (0, 0, 0)), ((5, 5, 2), (0, 0, 3))]
     k = r + 1 if c >= r + 3 else 2
     if c - k < 2:
         return []
@@ -180,6 +195,8 @@ def _frame(table, bases, sizes, steps):
 
 def _hamming_cover(factors, expected):
     paths = _tile(factors)
+    # By the proof in _split's docstring this fails only when a base entry
+    # is lost from the table or damaged after its load check.
     if len(paths) != expected:
         raise ConstructionError(
             f"built {len(paths)} paths for {' x '.join(f'K_{n}' for n in factors)}, "
@@ -203,5 +220,5 @@ def cover_hamming3(n1: int, n2: int, n3: int) -> Cover:
     tables, slabs of 4 (then 2) layers cut off the largest factor by
     ``_split``, and its three-factor exceptions: overlapping 2 x 2 x 2
     blocks for the exceptional (2,2,odd) family, the 2 x 2 x 2 grid for
-    all-even factors and fixed cuts of (2,5,6) and (5,5,5)."""
+    all-even factors and a fixed cut of (2,5,6)."""
     return _hamming_cover((n1, n2, n3), ip_hamming3(n1, n2, n3).value)
