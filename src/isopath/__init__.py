@@ -6,6 +6,7 @@ branch-and-bound oracle for small graphs, and certificate verification.
 
 from .base_covers import base_cover_lookup
 from .construct import (
+    cover_hamming,
     cover_hamming2,
     cover_hamming3,
     cover_multipartite,
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .formulas import (
     FormulaResult,
+    ip_hamming,
     ip_hamming2,
     ip_hamming3,
     ip_lower_bound_hamming,

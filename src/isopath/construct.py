@@ -24,7 +24,7 @@ from operator import mul
 from .base_covers import _family, base_cover_lookup, base_cover_table
 from .cover import Cover
 from .errors import ConstructionError, UnknownCoverKeyError
-from .formulas import ip_hamming2, ip_hamming3, ip_multipartite
+from .formulas import ip_hamming, ip_multipartite
 from .graph import HammingSpec, PartiteSpec
 
 
@@ -145,21 +145,22 @@ def _split(key):
     return [(head + (k,), corner + (0,)), (head + (c - k,), corner + (k,))]
 
 
-def _tile(factors):
-    """Paths of a cover of the Hamming graph on ``factors``, as vertex
-    indices of that graph, tiled from base-table boxes in depth-first order."""
+def _tile(spec):
+    """Paths of a cover of the Hamming graph of ``spec``, as vertex indices
+    of that graph, tiled from base-table boxes in depth-first order."""
     table = base_cover_table()
+    family = _family(spec.factors)  # every box has the spec's factor count
     bases = {}  # key: the base cover's index paths, looked up once
     frames = {}  # (sizes, steps) as popped: what _frame makes of the box
     paths = []
     # a box: its factors in its parent's frame, the index stride of the
     # caller's axis under each of them, and the index of its corner
-    stack = [(tuple(factors), HammingSpec(factors).strides, 0)]
+    stack = [(spec.factors, spec.strides, 0)]
     while stack:
         sizes, steps, start = stack.pop()
         frame = frames.get((sizes, steps))
         if frame is None:
-            frame = frames[sizes, steps] = _frame(table, bases, sizes, steps)
+            frame = frames[sizes, steps] = _frame(table, bases, family, sizes, steps)
         placed, subs, sub_steps, shifts = frame
         if placed is not None:
             paths.extend(map(tuple, map(map, repeat(start.__add__), placed)))
@@ -168,7 +169,7 @@ def _tile(factors):
     return paths
 
 
-def _frame(table, bases, sizes, steps):
+def _frame(table, bases, family, sizes, steps):
     """What ``_tile`` does with a box of ``sizes`` under ``steps``, wherever
     its corner lies.  A base box gives (placed, None, None, None), where
     ``placed`` are the base cover's paths as index offsets from the corner.
@@ -178,7 +179,6 @@ def _frame(table, bases, sizes, steps):
     order = sorted(range(len(sizes)), key=sizes.__getitem__)
     key = tuple(sizes[i] for i in order)
     steps = tuple(steps[i] for i in order)
-    family = _family(key)
     if (family, key) in table:
         if key not in bases:
             bases[key] = base_cover_lookup(family, key).paths
@@ -193,32 +193,28 @@ def _frame(table, bases, sizes, steps):
     return None, subs, steps, [sum(map(mul, shift, steps)) for shift in shifts]
 
 
-def _hamming_cover(factors, expected):
-    paths = _tile(factors)
+def cover_hamming(spec: HammingSpec) -> Cover:
+    """Valid cover of make_hamming(spec), 2 or 3 factors, with exactly
+    ip_hamming(spec).value paths: base-table boxes and the boxes ``_split``
+    cuts, slabs of r + 1 (then 2) layers off the largest factor plus its
+    three-factor exceptions."""
+    expected = ip_hamming(spec).value
+    paths = _tile(spec)
     # By the proof in _split's docstring this fails only when a base entry
     # is lost from the table or damaged after its load check.
     if len(paths) != expected:
         raise ConstructionError(
-            f"built {len(paths)} paths for {' x '.join(f'K_{n}' for n in factors)}, "
+            f"built {len(paths)} paths for {' x '.join(f'K_{n}' for n in spec.factors)}, "
             f"formula says {expected}"
         )
-    return Cover(
-        paths,
-        note=f"hamming {','.join(str(n) for n in factors)}",
-    )
+    return Cover(paths, note=f"hamming {','.join(map(str, spec.factors))}")
 
 
 def cover_hamming2(n1: int, n2: int) -> Cover:
-    """Valid cover of K_{n1} x K_{n2} of size ceil(n1*n2/3): base tables for
-    2 x 2, 2 x 3, 2 x 4 and 3 x 3, and slabs of 3 (then 2) layers cut off
-    the larger factor by ``_split``."""
-    return _hamming_cover((n1, n2), ip_hamming2(n1, n2).value)
+    """cover_hamming of K_{n1} x K_{n2}."""
+    return cover_hamming(HammingSpec((n1, n2)))
 
 
 def cover_hamming3(n1: int, n2: int, n3: int) -> Cover:
-    """Valid cover of K_{n1} x K_{n2} x K_{n3} matching ip_hamming3: base
-    tables, slabs of 4 (then 2) layers cut off the largest factor by
-    ``_split``, and its three-factor exceptions: overlapping 2 x 2 x 2
-    blocks for the exceptional (2,2,odd) family, the 2 x 2 x 2 grid for
-    all-even factors and a fixed cut of (2,5,6)."""
-    return _hamming_cover((n1, n2, n3), ip_hamming3(n1, n2, n3).value)
+    """cover_hamming of K_{n1} x K_{n2} x K_{n3}."""
+    return cover_hamming(HammingSpec((n1, n2, n3)))

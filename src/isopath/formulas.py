@@ -45,23 +45,28 @@ def ip_multipartite(spec: PartiteSpec) -> FormulaResult:
     return FormulaResult(ceil_div(n, 3), CASE_BALANCED)
 
 
+def ip_hamming(spec: HammingSpec) -> FormulaResult:
+    """Isometric path number of a product of 2 or 3 complete graphs: the
+    counting bound ceil(n/(r+1)), except n/4 + 1 when two of three factors
+    equal 2 and the third is odd.  Order-insensitive."""
+    if spec.r == 2:
+        return FormulaResult(ip_lower_bound_hamming(spec), CASE_HAMMING2)
+    if spec.r != 3:
+        raise InvalidSpecError(f"2 or 3 factors supported, got {spec.r}")
+    a, b, c = sorted(spec.factors)
+    if a == b == 2 and c % 2 == 1:
+        return FormulaResult(spec.n // 4 + 1, CASE_HAMMING3_EXCEPTIONAL)
+    return FormulaResult(ip_lower_bound_hamming(spec), CASE_HAMMING3_MAIN)
+
+
 def ip_hamming2(n1: int, n2: int) -> FormulaResult:
-    """Isometric path number of K_{n1} x K_{n2}: ceil(n1*n2/3), the
-    counting bound."""
-    return FormulaResult(ip_lower_bound_hamming(HammingSpec((n1, n2))), CASE_HAMMING2)
+    """ip_hamming of K_{n1} x K_{n2}: ceil(n1*n2/3)."""
+    return ip_hamming(HammingSpec((n1, n2)))
 
 
 def ip_hamming3(n1: int, n2: int, n3: int) -> FormulaResult:
-    """Isometric path number of a product of three complete graphs.
-
-    ceil(n1*n2*n3/4), the counting bound, except n1*n2*n3/4 + 1 when two
-    factors equal 2 and the third is odd.  Order-insensitive.
-    """
-    spec = HammingSpec((n1, n2, n3))
-    a, b, c = sorted(spec.factors)
-    if a == 2 and b == 2 and c % 2 == 1:
-        return FormulaResult(spec.n // 4 + 1, CASE_HAMMING3_EXCEPTIONAL)
-    return FormulaResult(ip_lower_bound_hamming(spec), CASE_HAMMING3_MAIN)
+    """ip_hamming of K_{n1} x K_{n2} x K_{n3}."""
+    return ip_hamming(HammingSpec((n1, n2, n3)))
 
 
 def ip_lower_bound_hamming(spec: HammingSpec) -> int:

@@ -55,12 +55,14 @@ class TestFormula:
         assert err == "error: malformed size list ''\n"
 
     def test_wrong_factor_count_exits_1(self, capsys):
-        # construct checks the factor count before it builds the graph
+        # construct checks the factor count before it builds the graph; one
+        # factor is a valid HammingSpec, but neither command takes it
         for command in ("formula", "construct"):
-            code, out, err = run(capsys, command, "--hamming", "2,2,2,2")
-            assert code == 1
-            assert out == ""
-            assert err == "error: --hamming takes 2 or 3 factors\n"
+            for factors in ("2,2,2,2", "5"):
+                code, out, err = run(capsys, command, "--hamming", factors)
+                assert code == 1
+                assert out == ""
+                assert err == "error: --hamming takes 2 or 3 factors\n"
 
     @pytest.mark.parametrize("command", ["formula", "construct"])
     def test_a_small_factor_gives_the_spec_error(self, capsys, command):

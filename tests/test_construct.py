@@ -17,10 +17,12 @@ from isopath import (
     PartiteSpec,
     UnknownCoverKeyError,
     base_cover_lookup,
+    cover_hamming,
     cover_hamming2,
     cover_hamming3,
     cover_multipartite,
     format_cover,
+    ip_hamming,
     ip_hamming2,
     ip_hamming3,
     ip_multipartite,
@@ -28,7 +30,7 @@ from isopath import (
     make_hamming,
     verify_cover,
 )
-from isopath import base_covers, construct
+from isopath import base_covers, construct, formulas
 from isopath.base_covers import base_cover_table
 
 from conftest import sorted_partitions
@@ -83,9 +85,9 @@ class TestBaseCoverTable:
     def test_every_entry_is_valid_and_formula_sized(self):
         for (family, key), cover in sorted(base_cover_table().items()):
             assert key == tuple(sorted(key)), (family, key)
-            formula = ip_hamming2 if family == "hamming2" else ip_hamming3
-            expected = formula(*key).value
-            report = verify_cover(make_hamming(HammingSpec(key)), cover)
+            spec = HammingSpec(key)
+            expected = ip_hamming(spec).value
+            report = verify_cover(make_hamming(spec), cover)
             assert report.valid, (family, key)
             assert len(cover.paths) == expected, (family, key)
 
@@ -110,9 +112,8 @@ class TestBaseCoverTable:
             table = dict(full)
             del table[(family, key)]
             monkeypatch.setattr(base_covers, "_TABLE", table)
-            build = cover_hamming2 if family == "hamming2" else cover_hamming3
             with pytest.raises((UnknownCoverKeyError, ConstructionError)):
-                build(*key)
+                cover_hamming(HammingSpec(key))
 
     @pytest.mark.parametrize(
         "text,message",
@@ -331,6 +332,29 @@ class TestCoverHamming3:
             cover_hamming3(2, 2, 1)
 
 
+class TestCoverHamming:
+    def test_one_factor_is_rejected(self):
+        # HammingSpec admits one factor, but no closed form or tiling does
+        spec = HammingSpec((5,))
+        with pytest.raises(InvalidSpecError):
+            ip_hamming(spec)
+        with pytest.raises(InvalidSpecError):
+            cover_hamming(spec)
+
+    def test_builds_no_spec_of_its_own(self, monkeypatch):
+        # the spec is validated once, by its caller; ip_hamming builds none
+        # either
+        spec = HammingSpec((20, 21))
+        want = cover_hamming2(20, 21)
+
+        def no_spec(factors):
+            raise AssertionError(f"HammingSpec({factors!r}) built")
+
+        monkeypatch.setattr(construct, "HammingSpec", no_spec)
+        monkeypatch.setattr(formulas, "HammingSpec", no_spec)
+        assert cover_hamming(spec) == want
+
+
 def _cells_held(key, subs):
     """How many sub-boxes hold each cell of the box cut at every face of a
     sub-box, and how many such cells the box has."""
@@ -370,7 +394,7 @@ def _cut_exception(key):
 
 
 def _ip(key):
-    return (ip_hamming2 if len(key) == 2 else ip_hamming3)(*key).value
+    return ip_hamming(HammingSpec(key)).value
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -471,11 +495,8 @@ def test_covers_past_the_recursion_limit(factors):
     which they differ, so a walk is isometric iff its ends differ in as
     many coordinates as it has edges."""
     spec = HammingSpec(factors)
-    if len(factors) == 2:
-        cover, expected = cover_hamming2(*factors), ip_hamming2(*factors).value
-    else:
-        cover, expected = cover_hamming3(*factors), ip_hamming3(*factors).value
-    assert len(cover.paths) == expected
+    cover = cover_hamming(spec)
+    assert len(cover.paths) == ip_hamming(spec).value
     assert {v for p in cover.paths for v in p} == set(range(spec.n))
     # the coordinates of each vertex, in index order
     table = list(product(*map(range, factors)))
@@ -499,9 +520,8 @@ def _hamming_digest(specs):
     digest = hashlib.sha256()
     for factors in specs:
         digest.update((",".join(map(str, factors)) + "\n").encode("ascii"))
-        build = cover_hamming2 if len(factors) == 2 else cover_hamming3
         try:
-            cover = build(*factors)
+            cover = cover_hamming(HammingSpec(factors))
         except Exception as exc:
             digest.update(f"raises {type(exc).__name__}\n".encode("ascii"))
             continue
