@@ -13,6 +13,7 @@ from isopath import (
     Graph,
     HammingSpec,
     PartiteSpec,
+    cover_hamming,
     cover_hamming2,
     cover_hamming3,
     cover_multipartite,
@@ -30,6 +31,7 @@ class _Vertex(IntEnum):
 
 
 SPEC_33 = HammingSpec((3, 3))
+SPEC_35 = HammingSpec((3, 5))
 SPEC_222 = HammingSpec((2, 2, 2))
 SPEC_233 = HammingSpec((2, 3, 3))
 
@@ -242,6 +244,93 @@ class TestVerifyCover:
         monkeypatch.setattr(graph_module._MultipartiteGraph, "neighbors", no_neighbors)
         for g, cover in cases:
             assert verify_cover(g, cover).valid, g
+
+    @pytest.mark.parametrize(
+        "family, path, verdict",
+        [
+            ("hamming", (0, 1, 2), (True, True, False)),  # one coordinate twice
+            ("hamming", (0, 1, 6, 11), (True, True, False)),  # more than r + 1
+            ("hamming", (0, 6), (True, False, False)),  # two coordinates at once
+            ("hamming", (0, 1, 0), (False, True, False)),
+            ("hamming", (0, 0, 6), (False, False, False)),  # a step that stays
+            ("hamming", (0, 6, 7), (True, False, False)),  # a double step, ends 2 apart
+            ("hamming", (0, 15), (True, False, False)),
+            ("multipartite", (0, 4, 7), (True, True, False)),  # ends in two parts
+            ("multipartite", (0, 4, 1, 7), (True, True, False)),
+            ("multipartite", (0, 1), (True, False, False)),  # within a part
+            ("multipartite", (0, 1, 2), (True, False, False)),  # steps in a part
+            ("multipartite", (0, 4, 0), (False, True, False)),
+            ("multipartite", (0, -1), (True, False, False)),
+        ],
+    )
+    def test_a_broken_path_gets_its_own_verdict(self, family, path, verdict):
+        # one path of a constructed cover replaced: the whole-cover check
+        # fails, and each path gets the verdict of the stored twin graph
+        if family == "hamming":
+            g, cover = make_hamming(SPEC_35), cover_hamming(SPEC_35)
+        else:
+            spec = PartiteSpec((4, 3, 3, 2))
+            g, cover = make_complete_multipartite(spec), cover_multipartite(spec)
+        paths = list(cover.paths)
+        broken = len(paths) // 2
+        paths[broken] = path
+        report = verify_cover(g, Cover(paths))
+        expected = [(True, True, True)] * len(paths)
+        expected[broken] = verdict
+        assert [(v.simple, v.walk, v.isometric) for v in report.path_verdicts] == expected
+        assert not report.valid
+        assert report == verify_cover(Graph(g.n, g.edges()), Cover(paths))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_family_report_matches_its_stored_twin(self, data):
+        # Covers of a constructed cover's paths, some replaced, and drawn
+        # paths: walks along edges (back and forth too, and longer than
+        # r + 1), moves to a non-neighbour (the same vertex too) or to any
+        # vertex, and a vertex out of range.  A family graph's report, from
+        # its whole-cover check or its per-path loop, is the report of the
+        # same graph stored, in both modes.
+        side = st.integers(min_value=2, max_value=4)
+        built = ()
+        if data.draw(st.booleans()):
+            spec = HammingSpec(data.draw(st.lists(side, min_size=1, max_size=3)))
+            g = make_hamming(spec)
+            if spec.r > 1:
+                built = cover_hamming(spec).paths
+        else:
+            spec = PartiteSpec(data.draw(st.lists(side | st.just(1), min_size=2, max_size=4)))
+            g = make_complete_multipartite(spec)
+            built = cover_multipartite(spec).paths
+        vertex = st.integers(min_value=0, max_value=g.n - 1)
+        move = st.sampled_from(["edge", "edge", "edge", "other", "any"])
+
+        def drawn_path():
+            verts = [data.draw(vertex)]
+            for _ in range(data.draw(st.integers(min_value=0, max_value=5))):
+                kind = data.draw(move)
+                if kind == "any":
+                    verts.append(data.draw(vertex))
+                    continue
+                near = set(g.neighbors(verts[-1]))
+                if kind == "other":
+                    near = set(range(g.n)) - near
+                verts.append(data.draw(st.sampled_from(sorted(near))))
+            if data.draw(st.integers(min_value=0, max_value=9)) == 0:
+                at = data.draw(st.integers(min_value=0, max_value=len(verts) - 1))
+                verts[at] = data.draw(st.sampled_from([-1, g.n]))
+            return tuple(verts)
+
+        paths = list(built) if data.draw(st.booleans()) else []
+        for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+            path = drawn_path()
+            if paths and data.draw(st.booleans()):
+                paths[data.draw(st.integers(min_value=0, max_value=len(paths) - 1))] = path
+            else:
+                paths.append(path)
+        cover = Cover(paths)
+        twin = Graph(g.n, g.edges())
+        for strict in (False, True):
+            assert verify_cover(g, cover, strict) == verify_cover(twin, cover, strict)
 
     def test_out_of_range_reported_not_raised(self):
         g = Graph(2, [(0, 1)])
