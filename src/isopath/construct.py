@@ -100,7 +100,9 @@ def _split(key):
     """Sub-boxes of a box whose sorted factors ``key`` are not a base key,
     as (factors, offsets) in that sorted frame; none for a base key that no
     split shrinks, so that a key lost from the table is reported instead of
-    split into itself forever.
+    split into itself forever.  Each call makes one cut; ``_frame`` calls it
+    again on the last sub-box, the rest, while the rest is still sorted and
+    not a base key, so a chain of slabs off one axis is one frame.
 
     The slab rule, for r factors: cut the largest factor c into a slab of
     k = r + 1 layers and the rest when c >= r + 3, else of k = 2 layers.
@@ -175,7 +177,16 @@ def _frame(table, bases, family, sizes, steps):
     ``placed`` are the base cover's paths as index offsets from the corner.
     A split box gives (None, subs, steps, shifts): its sub-boxes in push
     order, the steps in its sorted frame, and each sub-box's corner as an
-    index offset from its own."""
+    index offset from its own.
+
+    The last sub-box of a split, the rest, is split here too while it is
+    in sort order and not a base key, and so on down the chain.  A rest in
+    sort order would get these same steps in a frame of its own, so the
+    sub-boxes, their order, sizes and steps are those of one frame per rest,
+    and a chain of slabs costs one frame.  The chain stops at a base key,
+    which is placed whole ((2, 7) leaves (2, 4): 3 paths, where its cut
+    would give 4), and at a rest out of sort order, as in 20 x 21 -> (20,
+    18), whose own frame takes its axes in another order."""
     order = sorted(range(len(sizes)), key=sizes.__getitem__)
     key = tuple(sizes[i] for i in order)
     steps = tuple(steps[i] for i in order)
@@ -185,12 +196,21 @@ def _frame(table, bases, family, sizes, steps):
         # the offset of each base vertex, in the base graph's index order
         offset = [sum(map(mul, c, steps)) for c in product(*map(range, key))]
         return [tuple(map(offset.__getitem__, p)) for p in bases[key]], None, None, None
-    subs = _split(key)
-    if not subs:
-        raise UnknownCoverKeyError(f"{family} {key}")
+    # every split leaves its last sub-box's other sides sorted
+    boxes, shifts, rest, start = [], [], key, 0
+    while True:
+        subs = _split(rest)
+        if not subs:
+            raise UnknownCoverKeyError(f"{family} {rest}")
+        boxes.extend(sizes for sizes, _ in subs)
+        shifts.extend(start + sum(map(mul, corner, steps)) for _, corner in subs)
+        rest = boxes[-1]
+        if rest[-1] < rest[-2] or (family, rest) in table:
+            break
+        boxes.pop()
+        start = shifts.pop()
     # reversed, so the first sub-box is popped, and emitted, first
-    subs, shifts = zip(*reversed(subs))
-    return None, subs, steps, [sum(map(mul, shift, steps)) for shift in shifts]
+    return None, boxes[::-1], steps, shifts[::-1]
 
 
 def cover_hamming(spec: HammingSpec) -> Cover:

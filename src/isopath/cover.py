@@ -95,24 +95,38 @@ def _normal_form_ok(c: Cover) -> bool:
 
 def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> VerifyReport:
     """Check every path and the coverage of V(g); problems are reported,
-    never raised.  Deterministic and side-effect free."""
+    never raised.  Deterministic and side-effect free.
+
+    A family graph first checks the whole cover at once; when it finds every
+    path a shortest path, every verdict is true.  Otherwise, and on a stored
+    graph, each path is checked on its own."""
     n = g.n
-    verdicts = []
-    covered = set()
-    incidences = 0
-    for verts in c.paths:
-        in_range = 0 <= min(verts) and max(verts) < n
-        kept = verts if in_range else [v for v in verts if 0 <= v < n]
-        incidences += len(kept)
-        covered.update(kept)
-        simple = len(set(verts)) == len(verts)
-        walk = in_range and all(map(g.has_edge, verts, verts[1:]))
-        # a simple walk with k edges is a shortest path iff d(start, end) >= k
-        k = len(verts) - 1
-        isometric = simple and walk and (k <= 1 or g._distance_at_least(verts[0], verts[-1], k))
-        verdicts.append(_VERDICTS[simple, walk, isometric])
-    uncovered = tuple(sorted(set(range(n)) - covered))
-    valid = all(v.ok for v in verdicts) and not uncovered
+    all_shortest = g._all_shortest
+    flat = all_shortest and list(chain.from_iterable(c.paths))
+    if flat and 0 <= min(flat) and max(flat) < n and all_shortest(c.paths, flat):
+        # a walk of k steps between vertices at distance k is simple
+        verdicts = (_VERDICTS[True, True, True],) * len(c.paths)
+        covered = set(flat)
+        incidences = len(flat)
+        ok = True
+    else:
+        verdicts = []
+        covered = set()
+        incidences = 0
+        for verts in c.paths:
+            in_range = 0 <= min(verts) and max(verts) < n
+            kept = verts if in_range else [v for v in verts if 0 <= v < n]
+            incidences += len(kept)
+            covered.update(kept)
+            simple = len(set(verts)) == len(verts)
+            walk = in_range and all(map(g.has_edge, verts, verts[1:]))
+            # a simple walk with k edges is a shortest path iff d(start, end) >= k
+            k = len(verts) - 1
+            isometric = simple and walk and (k <= 1 or g._distance_at_least(verts[0], verts[-1], k))
+            verdicts.append(_VERDICTS[simple, walk, isometric])
+        ok = all(v.ok for v in verdicts)
+    uncovered = tuple(sorted(set(range(n)) - covered)) if len(covered) < n else ()
+    valid = ok and not uncovered
     normal_form = None
     if strict_normal_form:
         normal_form = _normal_form_ok(c)

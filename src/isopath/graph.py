@@ -9,9 +9,9 @@ significant.
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import prod
-from operator import eq, mul
+from operator import add, eq, floordiv, itemgetter, mod, mul, ne
 
 from ._record import Record
 from .errors import (
@@ -71,6 +71,22 @@ def _integers(values, error, what):
     return ints
 
 
+def _step_sum(op, values, firsts, lasts):
+    """The sum of ``op(a, b)`` over the steps of some paths laid end to end,
+    given a value of each vertex: ``values`` in that order, ``firsts`` and
+    ``lasts`` at the ends of each path.  The pairs of consecutive values are
+    the steps and the pairs (lasts[i], firsts[i + 1]) between paths."""
+    return sum(map(op, values, values[1:])) - sum(map(op, lasts, firsts[1:]))
+
+
+def _digits(vs, stride, span, n):
+    """The digit of each of the vertices ``vs`` of an n-vertex Hamming graph
+    on the axis of ``stride`` and ``span``."""
+    if span < n:
+        vs = map(mod, vs, repeat(span))
+    return list(map(floordiv, vs, repeat(stride)) if stride > 1 else vs)
+
+
 def _add_edges(lists, n, us, vs, in_range=False):
     """Append the edges ``(us[i], vs[i])`` of an n-vertex graph to the
     neighbour lists (a ``defaultdict(list)``), both ways round.  The first
@@ -101,6 +117,11 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "_adj")
+
+    # A family graph's ``_all_shortest(paths, flat)`` tells at once whether
+    # every path, its vertices in range and laid end to end in ``flat``, is a
+    # shortest path; a stored graph has no such test.
+    _all_shortest = None
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -204,6 +225,24 @@ class _HammingGraph(Graph):
         # the distance is the number of coordinates in which u and v differ
         return sum(u % span // stride != v % span // stride for stride, span in self._axes) >= k
 
+    def _all_shortest(self, paths, flat):
+        # Every step moves, and the steps change as many coordinates as there
+        # are steps, so each changes one: it is an edge.  The ends of a path
+        # of k steps differ in k <= r coordinates, so it is a walk of k edges
+        # between vertices at distance k: a shortest path.
+        firsts = list(map(itemgetter(0), paths))
+        lasts = list(map(itemgetter(-1), paths))
+        if _step_sum(eq, flat, firsts, lasts):
+            return False
+        changes, ends = len(paths) - len(flat), repeat(1)
+        for stride, span in self._axes:
+            digits, first_digits, last_digits = (
+                _digits(vs, stride, span, self.n) for vs in (flat, firsts, lasts)
+            )
+            changes += _step_sum(ne, digits, first_digits, last_digits)
+            ends = map(add, ends, map(ne, first_digits, last_digits))
+        return not changes and all(map(eq, ends, map(len, paths)))
+
 
 class _MultipartiteGraph(Graph):
     """Complete multipartite graph: two vertices are adjacent iff they lie in
@@ -231,6 +270,21 @@ class _MultipartiteGraph(Graph):
     def _distance_at_least(self, u, v, k):
         # the distance is 1 across part blocks and 2 within one
         return k <= 1 + (bisect_right(self._offsets, u) == bisect_right(self._offsets, v))
+
+    def _all_shortest(self, paths, flat):
+        # every step crosses parts, and the ends of a path of k steps are at
+        # distance k, which is 2 [u != v] - [u, v in different parts]
+        firsts = list(map(itemgetter(0), paths))
+        lasts = list(map(itemgetter(-1), paths))
+        blocks = repeat(self._offsets)
+        parts, first_parts, last_parts = (
+            list(map(bisect_right, blocks, vs)) for vs in (flat, firsts, lasts)
+        )
+        if _step_sum(eq, parts, first_parts, last_parts):
+            return False
+        apart = list(map(ne, firsts, lasts))
+        ends = map(add, map(add, apart, apart), map(eq, first_parts, last_parts))
+        return all(map(eq, ends, map(len, paths)))
 
 
 class PartiteSpec(Record):

@@ -354,6 +354,28 @@ class TestCoverHamming:
         monkeypatch.setattr(formulas, "HammingSpec", no_spec)
         assert cover_hamming(spec) == want
 
+    def test_a_slab_chain_is_one_frame(self, monkeypatch):
+        # K2 x K100 is 32 slabs of 2 x 3 cut off one axis, then the base key
+        # (2, 4): one frame for the chain, one for the slabs and one for the
+        # base key, where a frame per rest took 34; the cuts stay 32
+        frames = []
+        splits = []
+        frame, split = construct._frame, construct._split
+
+        def counted_frame(table, bases, family, sizes, steps):
+            frames.append(sizes)
+            return frame(table, bases, family, sizes, steps)
+
+        def counted_split(key):
+            splits.append(key)
+            return split(key)
+
+        monkeypatch.setattr(construct, "_frame", counted_frame)
+        monkeypatch.setattr(construct, "_split", counted_split)
+        assert len(cover_hamming(HammingSpec((2, 100))).paths) == 67
+        assert frames == [(2, 100), (2, 3), (2, 4)]
+        assert splits == [(2, c) for c in range(100, 6, -3)]
+
 
 def _cells_held(key, subs):
     """How many sub-boxes hold each cell of the box cut at every face of a

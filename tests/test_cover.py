@@ -223,8 +223,8 @@ class TestVerifyCover:
         assert verdict.isometric == (nx.shortest_path_length(reference, walk[0], walk[-1]) == k)
 
     def test_family_graphs_verify_without_neighbors(self, monkeypatch):
-        # the family rules answer every isometry test, so verification of a
-        # constructed cover never grows a ball from neighbours
+        # a family graph checks a constructed cover whole from its spec: it
+        # never grows a ball from neighbours, nor tests a path on its own
         cases = [
             (make_hamming(HammingSpec(factors)), build(*factors))
             for build, factors in [
@@ -240,8 +240,13 @@ class TestVerifyCover:
         def no_neighbors(self, v):
             raise AssertionError("neighbors called")
 
-        monkeypatch.setattr(graph_module._HammingGraph, "neighbors", no_neighbors)
-        monkeypatch.setattr(graph_module._MultipartiteGraph, "neighbors", no_neighbors)
+        def no_path_test(self, *vertices):
+            raise AssertionError("a path tested on its own")
+
+        for family in (graph_module._HammingGraph, graph_module._MultipartiteGraph):
+            monkeypatch.setattr(family, "neighbors", no_neighbors)
+            monkeypatch.setattr(family, "has_edge", no_path_test)
+            monkeypatch.setattr(family, "_distance_at_least", no_path_test)
         for g, cover in cases:
             assert verify_cover(g, cover).valid, g
 
