@@ -45,6 +45,27 @@ def greedy_cover(g):
     return Cover(pool.paths[i] for i in _greedy_indices(pool, g.n))
 
 
+@st.composite
+def long_graphs(draw):
+    """A random connected graph on 1-16 vertices, randomly relabelled, whose
+    diameter is often 3 or more: a tree, a cycle, or a path with chords."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    kind = draw(st.sampled_from(("tree", "cycle", "chords")))
+    if kind == "tree":
+        edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    else:
+        edges = {(v - 1, v) for v in range(1, n)}
+        if kind == "cycle" and n >= 3:
+            edges.add((0, n - 1))
+        if kind == "chords" and n >= 3:
+            ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            for u, v in draw(st.lists(ends, max_size=4)):
+                if u != v:
+                    edges.add((min(u, v), max(u, v)))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, sorted((perm[u], perm[v]) for u, v in edges))
+
+
 class TestEnumeration:
     def test_single_edge(self):
         pool = pool_of(Graph(2, [(0, 1)]))
@@ -140,6 +161,23 @@ class TestEnumeration:
             if d[u][v] == 2:
                 expected += len(set(g.neighbors(u)) & set(g.neighbors(v)))
         assert len(enumerate_isometric_paths(g, d).paths) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(long_graphs())
+    def test_pool_matches_networkx_shortest_paths(self, g):
+        # the singletons plus every shortest path between each pair s < t,
+        # read from s: the isometric paths in canonical form
+        G = nx.Graph(g.edges())
+        G.add_nodes_from(range(g.n))
+        paths = [(v,) for v in range(g.n)]
+        for s in range(g.n):
+            for t in range(s + 1, g.n):
+                paths += map(tuple, nx.all_shortest_paths(G, s, t))
+        paths.sort()
+        pool = pool_of(g)
+        assert pool.paths == tuple(paths)
+        assert pool.masks == tuple(sum(1 << v for v in p) for p in paths)
+        assert pool.max_path_vertices == max(map(len, paths))
 
 
 class TestGreedy:
