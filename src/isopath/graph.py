@@ -380,14 +380,17 @@ class HammingSpec(Record):
 def _bfs_row(adj, n, source):
     dist = [UNREACHABLE] * n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                queue.append(w)
+    frontier = [source]
+    k = 0
+    while frontier:
+        k += 1
+        layer = []
+        for u in frontier:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = k
+                    layer.append(w)
+        frontier = layer
     return dist
 
 

@@ -52,10 +52,15 @@ def enumerate_isometric_paths(g: Graph, d: list) -> PathPool:
     """Every simple path whose edge length equals its endpoint distance,
     including all 1- and 2-vertex paths, each exactly once in canonical form.
 
-    ``d`` is the distance matrix of g (``all_pairs_distances``).  Raises
-    PoolBudgetError when the paths would store more than POOL_CAP vertices
-    in all, checked first against a lower bound: n singletons plus one
-    shortest path of d(s, t) + 1 vertices for each pair s < t.
+    ``d`` is the distance matrix of g (``all_pairs_distances``).  For each
+    target t, every s < t walks to t by steps to neighbours closer to t.  A
+    neighbour of t has one closer neighbour, t itself, so its closer list is
+    ``(t,)`` with no scan, and a start s adjacent to t stores the edge (s, t)
+    with no walk.  Raises PoolBudgetError iff the paths would store more than
+    POOL_CAP vertices in all: checked first against a lower bound (n
+    singletons plus one shortest path of d(s, t) + 1 vertices for each pair
+    s < t), then at each stored walk and, to count the stored edges, after
+    each target's loop.
     """
     n = g.n
     if n == 0 or min(d[0]) < 0:
@@ -69,9 +74,16 @@ def enumerate_isometric_paths(g: Graph, d: list) -> PathPool:
     for t in range(1, n):
         # A walk that steps to a vertex one closer to t at every step is a
         # shortest path: its start is at distance k from t after k steps.
+        # A neighbour of t has one closer neighbour, t itself.
         row = d[t]
-        closer = [[w for w in adj[v] if row[w] < row[v]] for v in range(n)]
+        closer = [
+            (t,) if k == 1 else [w for w in nbrs if row[w] < k] for nbrs, k in zip(adj, row)
+        ]
         for s in range(t):
+            if row[s] == 1:
+                stored += 2
+                found.append((s, t))
+                continue
             stack = [(s,)]
             while stack:
                 prefix = stack.pop()
@@ -83,6 +95,8 @@ def enumerate_isometric_paths(g: Graph, d: list) -> PathPool:
                         found.append(prefix + (w,))
                     else:
                         stack.append(prefix + (w,))
+        if stored > POOL_CAP:
+            raise PoolBudgetError(too_many)
     found.sort()
     masks = []
     for p in found:
@@ -169,10 +183,10 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     # Dominance rule: never branch on a singleton while a multi-vertex path
     # covers the branching vertex (one does unless n == 1, g being connected).
     candidates = [[] for _ in range(n)]
-    for i, p in enumerate(pool.paths):
+    for entry, p in zip(enumerate(masks), pool.paths):
         if len(p) > 1 or n == 1:
             for v in p:
-                candidates[v].append((i, masks[i]))
+                candidates[v].append(entry)
 
     greedy = _greedy_indices(pool, n)
     # limit = smallest size we still have to beat; ties with the greedy seed
