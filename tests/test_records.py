@@ -170,3 +170,32 @@ def test_construction_keeps_its_checks():
         HammingSpec((2, 2, 2, 2))
     with pytest.raises(InvalidSpecError):
         HammingSpec((2, 1))
+
+
+# positional arguments each record type requires; the rest have defaults
+REQUIRED = {
+    "Cover": 1,
+    "PathVerdict": 3,
+    "VerifyReport": 5,
+    "PartiteSpec": 1,
+    "HammingSpec": 1,
+    "FormulaResult": 2,
+    "PathPool": 3,
+    "SolveResult": 4,
+}
+
+
+@pytest.mark.parametrize("record, equal, others, text, field", RECORDS, ids=IDS)
+def test_constructors_keep_their_arity(record, equal, others, text, field):
+    # a missing or an extra positional argument is a TypeError, never a
+    # record with a slot left unset or a value dropped
+    cls = type(record)
+    values = record._values()
+    assert cls(*values) == record
+    for k in range(REQUIRED[cls.__name__]):
+        with pytest.raises(TypeError):
+            cls(*values[:k])
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, extra=None)

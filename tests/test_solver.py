@@ -1,5 +1,6 @@
 """Path pool enumeration and the branch-and-bound oracle."""
 
+import functools
 import hashlib
 import math
 import random
@@ -581,6 +582,51 @@ def test_the_shrikhande_graph_is_not_recognised(seed):
     d = all_pairs_distances(g)
     assert symmetry._hamming_coordinates(g, d) is None
     assert symmetry.orbit_key(g, d) is None
+
+
+def _recognised_soundly(g):
+    """Whether g's Hamming coordinates were found; when they were, g must be
+    isomorphic to the product of complete graphs of the returned sizes."""
+    found = symmetry._hamming_coordinates(g, all_pairs_distances(g))
+    if found is None:
+        return False
+    sizes, _ = found
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    product = functools.reduce(
+        nx.cartesian_product, map(nx.complete_graph, sizes), nx.empty_graph(1)
+    )
+    assert nx.is_isomorphic(G, product)
+    return True
+
+
+def test_hamming_recognition_is_sound_on_the_atlas():
+    # the connected graphs of up to 7 vertices; the Hamming graphs among
+    # them are K1 to K7, K2 x K2 and K2 x K3
+    atlas = [G for G in nx.graph_atlas_g() if len(G) and nx.is_connected(G)]
+    assert len(atlas) == 996
+    recognised = sum(_recognised_soundly(Graph(len(G), list(G.edges()))) for G in atlas)
+    assert recognised == 9
+
+
+SWAPPED_FACTORS = [
+    (3, 3), (2, 4), (2, 2, 2), (2, 2, 3), (2, 3, 3),
+    (4, 4), (3, 3, 3), (2, 2, 4), (3, 4), (2, 6),
+]
+
+
+@pytest.mark.parametrize("factors", SWAPPED_FACTORS)
+def test_hamming_recognition_is_sound_after_edge_swaps(factors):
+    # 1 to 5 degree-preserving swaps keep n, m and every degree; most
+    # results are not Hamming graphs, and each one that is recognised
+    # must be one
+    base = make_hamming(HammingSpec(factors))
+    for seed in range(300):
+        G = nx.Graph(base.edges())
+        nx.double_edge_swap(G, nswap=1 + seed % 5, max_tries=1000, seed=seed)
+        perm = random.Random(seed).sample(range(base.n), base.n)
+        _recognised_soundly(Graph(base.n, [(perm[u], perm[v]) for u, v in G.edges()]))
 
 
 def test_the_shrikhande_graph_is_solved_without_a_key():
