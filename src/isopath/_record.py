@@ -4,14 +4,18 @@
 class Record:
     """Immutable value record whose fields are the names in ``__slots__``.
 
-    A subclass lists its fields in ``__slots__`` in constructor order and
-    sets each one once in ``__init__`` with ``object.__setattr__``.  Two
-    records are equal iff they have the same type and equal fields;
+    A subclass lists its fields in ``__slots__`` in constructor order, and
+    its ``__init__`` passes their values in that order to ``Record.__init__``.
+    Two records are equal iff they have the same type and equal fields;
     assigning or deleting an attribute raises AttributeError; pickle and
     copy rebuild a record by calling its constructor with its fields.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -32,17 +32,14 @@ class Cover(Record):
                     raise ValueError(f"path {p} has a vertex that is not an integer")
         if not all(paths):
             raise ValueError("a path has at least one vertex")
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "note", note)
+        Record.__init__(self, paths, note)
 
 
 class PathVerdict(Record):
     __slots__ = ("simple", "walk", "isometric")
 
     def __init__(self, simple, walk, isometric):
-        object.__setattr__(self, "simple", simple)
-        object.__setattr__(self, "walk", walk)
-        object.__setattr__(self, "isometric", isometric)
+        Record.__init__(self, simple, walk, isometric)
 
     @property
     def ok(self):
@@ -70,12 +67,7 @@ class VerifyReport(Record):
     __slots__ = ("valid", "path_verdicts", "uncovered", "size", "overlap", "normal_form")
 
     def __init__(self, valid, path_verdicts, uncovered, size, overlap, normal_form=None):
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "path_verdicts", path_verdicts)
-        object.__setattr__(self, "uncovered", uncovered)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "overlap", overlap)
-        object.__setattr__(self, "normal_form", normal_form)
+        Record.__init__(self, valid, path_verdicts, uncovered, size, overlap, normal_form)
 
 
 def _normal_form_ok(c: Cover) -> bool:

@@ -24,8 +24,7 @@ class FormulaResult(Record):
     __slots__ = ("value", "case_tag")
 
     def __init__(self, value, case_tag):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "case_tag", case_tag)
+        Record.__init__(self, value, case_tag)
 
 
 def ip_multipartite(spec: PartiteSpec) -> FormulaResult:

@@ -248,19 +248,18 @@ class _MultipartiteGraph(Graph):
     """Complete multipartite graph: two vertices are adjacent iff they lie in
     different part blocks.  No edge is stored."""
 
-    __slots__ = ("_sizes", "_offsets")
+    __slots__ = ("_offsets",)
 
     def __init__(self, spec):
-        self._sizes = spec.sizes
-        self._offsets = spec.part_offsets()
         n = self.n = spec.n
         self.m = (n * n - sum(s * s for s in spec.sizes)) // 2
+        # part i is the block from _offsets[i] up to _offsets[i + 1]
+        self._offsets = (*spec.part_offsets(), n)
 
     def neighbors(self, v):
-        # every vertex outside the part block holding v
-        i = bisect_right(self._offsets, v) - 1
-        start = self._offsets[i]
-        return (*range(start), *range(start + self._sizes[i], self.n))
+        # every vertex outside the block of part i - 1, which holds v
+        i = bisect_right(self._offsets, v)
+        return (*range(self._offsets[i - 1]), *range(self._offsets[i], self.n))
 
     def has_edge(self, u, v):
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -301,7 +300,7 @@ class PartiteSpec(Record):
             raise InvalidSpecError("at least one part is required")
         if any(s < 1 for s in given):
             raise InvalidSpecError(f"part sizes must be positive: {given}")
-        object.__setattr__(self, "sizes", tuple(sorted(given, reverse=True)))
+        Record.__init__(self, tuple(sorted(given, reverse=True)))
 
     @property
     def n(self):
@@ -361,7 +360,7 @@ class HammingSpec(Record):
             raise InvalidSpecError(f"1 to 3 factors supported, got {len(given)}")
         if any(f < 2 for f in given):
             raise InvalidSpecError(f"factors must be at least 2: {given}")
-        object.__setattr__(self, "factors", given)
+        Record.__init__(self, given)
 
     @property
     def n(self):

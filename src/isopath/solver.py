@@ -33,19 +33,14 @@ class PathPool(Record):
     __slots__ = ("paths", "masks", "max_path_vertices")
 
     def __init__(self, paths, masks, max_path_vertices):
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "max_path_vertices", max_path_vertices)
+        Record.__init__(self, paths, masks, max_path_vertices)
 
 
 class SolveResult(Record):
     __slots__ = ("optimum", "size", "nodes_explored", "proof_of_optimality")
 
     def __init__(self, optimum, size, nodes_explored, proof_of_optimality):
-        object.__setattr__(self, "optimum", optimum)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "nodes_explored", nodes_explored)
-        object.__setattr__(self, "proof_of_optimality", proof_of_optimality)
+        Record.__init__(self, optimum, size, nodes_explored, proof_of_optimality)
 
 
 def enumerate_isometric_paths(g: Graph, d: list) -> PathPool:
@@ -213,13 +208,13 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
     # the group is derived when the node count passes stop, or never
     stop = min(budget, ORBIT_KEY_AFTER)
     # A node is its stack entry (covered, index of the pool path that opened
-    # it or None at the root, iterator over its untried candidates), and its
-    # depth is its stack index.  The nodes below stack index done have a
-    # completed cover below them.
-    stack = [] if exhausted else [(0, None, iter(candidates[0]))]
-    done = 0
+    # it or None at the root, iterator over its untried candidates, limit when
+    # opened); its depth is its stack index.  The limit falls only at a
+    # completion, which lies below every open node, so a cover was completed
+    # below a node iff the limit fell while it was open.
+    stack = [] if exhausted else [(0, None, iter(candidates[0]), limit)]
     while stack:
-        covered, _, children = stack[-1]
+        covered, _, children, _ = stack[-1]
         depth = len(stack)  # of the children
         # A child at this depth covering k vertices is cut iff
         # depth + ceil((n - k) / max_len) >= limit, that is iff k < need.
@@ -246,7 +241,7 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
                     slack_key = (limit - depth) << shift
             if child == full:
                 best = [entry[1] for entry in stack[1:]] + [i]
-                done = limit = depth
+                limit = depth
                 need = n - (limit - depth - 1) * max_len
                 continue
             if child.bit_count() < need:
@@ -255,14 +250,12 @@ def solve_min_cover(g: Graph, budget: int | None = None) -> SolveResult:
                 continue
             # branch on the lowest uncovered vertex: the lowest 0 bit of child
             v = (~child & (child + 1)).bit_length() - 1
-            stack.append((child, i, iter(candidates[v])))
+            stack.append((child, i, iter(candidates[v]), limit))
             break
         else:
-            covered = stack.pop()[0]
-            depth = len(stack)  # of the node just closed
-            if depth < done:
-                done = depth
-            elif len(failed) < failed_cap:
+            covered, _, _, opened = stack.pop()
+            if opened == limit and len(failed) < failed_cap:
+                depth = len(stack)  # of the node just closed
                 key = covered if canon is None else canon(covered)
                 failed.add(key | (limit - depth) << shift)
 
