@@ -626,7 +626,7 @@ def test_hamming_recognition_is_sound_after_edge_swaps(factors):
         G = nx.Graph(base.edges())
         nx.double_edge_swap(G, nswap=1 + seed % 5, max_tries=1000, seed=seed)
         perm = random.Random(seed).sample(range(base.n), base.n)
-        _recognised_soundly(Graph(base.n, [(perm[u], perm[v]) for u, v in G.edges()]))
+        _recognised_soundly(relabelled(Graph(base.n, list(G.edges())), perm))
 
 
 def test_the_shrikhande_graph_is_solved_without_a_key():
