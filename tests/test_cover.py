@@ -13,6 +13,8 @@ from isopath import (
     Graph,
     HammingSpec,
     PartiteSpec,
+    PathVerdict,
+    VerifyReport,
     cover_hamming,
     cover_hamming2,
     cover_hamming3,
@@ -336,6 +338,57 @@ class TestVerifyCover:
         twin = Graph(g.n, g.edges())
         for strict in (False, True):
             assert verify_cover(g, cover, strict) == verify_cover(twin, cover, strict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_stored_report_matches_a_networkx_reference(self, data):
+        # A random graph, perhaps disconnected, and 1-5 paths that mix walks
+        # along its edges with any vertex of range(-2, n + 2).  The whole
+        # report is rebuilt in plain Python from networkx, in both modes.
+        n = data.draw(st.integers(min_value=1, max_value=9))
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        edges = sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]})
+        g = Graph(n, edges)
+        reference = nx.Graph(edges)
+        reference.add_nodes_from(range(n))
+        anywhere = st.integers(min_value=-2, max_value=n + 1)
+
+        def drawn_path():
+            verts = [data.draw(anywhere)]
+            for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+                last = verts[-1]
+                near = sorted(reference[last]) if 0 <= last < n else []
+                if near and data.draw(st.booleans()):
+                    verts.append(data.draw(st.sampled_from(near)))
+                else:
+                    verts.append(data.draw(anywhere))
+            return tuple(verts)
+
+        paths = [drawn_path() for _ in range(data.draw(st.integers(min_value=1, max_value=5)))]
+        verdicts = []
+        for p in paths:
+            simple = len(set(p)) == len(p)
+            walk = all(0 <= v < n for v in p) and all(
+                reference.has_edge(u, v) for u, v in zip(p, p[1:])
+            )
+            isometric = (
+                simple and walk and nx.shortest_path_length(reference, p[0], p[-1]) == len(p) - 1
+            )
+            verdicts.append(PathVerdict(simple, walk, isometric))
+        kept = [v for p in paths for v in p if 0 <= v < n]
+        uncovered = tuple(sorted(set(range(n)) - set(kept)))
+        valid = all(v.simple and v.walk and v.isometric for v in verdicts) and not uncovered
+        ends = [v for p in paths if len(p) == 3 for v in (p[0], p[-1])]
+        normal_form = all(len(p) in (2, 3) for p in paths) and len(ends) == len(set(ends))
+        overlap = len(kept) - len(set(kept))
+        cover = Cover(paths)
+        assert verify_cover(g, cover) == VerifyReport(
+            valid, tuple(verdicts), uncovered, len(paths), overlap, None
+        )
+        assert verify_cover(g, cover, True) == VerifyReport(
+            valid and normal_form, tuple(verdicts), uncovered, len(paths), overlap, normal_form
+        )
 
     def test_out_of_range_reported_not_raised(self):
         g = Graph(2, [(0, 1)])

@@ -307,6 +307,48 @@ class TestAugmentedFamily:
         assert result.size == 2
         assert ip_multipartite(spec).value == 3
 
+    def test_the_claimed_value_over_n_and_p(self):
+        # Up to isomorphism an augmented graph is K_n minus P disjoint pairs,
+        # so P parts of 2 (each its pair) and n - 2P parts of 1 stand for
+        # every pairing; the claimed ip is max(ceil(n/3), ceil((n - P)/2))
+        for n in range(3, 17):
+            for p in range(n // 2 + 1):
+                spec = PartiteSpec((2,) * p + (1,) * (n - 2 * p))
+                g = make_augmented_multipartite(spec, [[(0, 1)]] * p + [[]] * (n - 2 * p))
+                result = solve_min_cover(g, budget=2_000_000)
+                assert result.proof_of_optimality, (n, p)
+                assert result.size == max(ceil_div(n, 3), ceil_div(n - p, 2)), (n, p)
+
+
+def grid(a, b):
+    """P_a x P_b, vertex i * b + j at row i and column j."""
+    edges = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+    edges += [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
+    return Graph(a * b, edges)
+
+
+@pytest.mark.parametrize(
+    "a, b, ip",
+    [
+        (2, 2, 2),
+        (2, 3, 2),
+        (2, 5, 2),
+        (3, 3, 2),
+        (3, 4, 3),
+        (3, 5, 3),
+        (3, 6, 3),
+        (3, 7, 3),
+        (4, 4, 3),
+        (4, 5, 3),
+    ],
+)
+def test_small_grids_are_proven(a, b, ip):
+    # the cheap proven rows of the grid table; node counts are left free
+    g = grid(a, b)
+    result = solve_min_cover(g, budget=2_000_000)
+    assert (result.size, result.proof_of_optimality) == (ip, True)
+    assert verify_cover(g, result.optimum).valid
+
 
 def _sweep_graphs():
     """(key, graph, budget) for every solve of the byte-stability sweep;
