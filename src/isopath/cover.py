@@ -89,29 +89,26 @@ def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> Verify
     """Check every path and the coverage of V(g); problems are reported,
     never raised.  Deterministic and side-effect free.
 
-    A family graph first checks the whole cover at once; when it finds every
-    path a shortest path, every verdict is true.  Otherwise, and on a stored
-    graph, each path is checked on its own."""
+    Range, coverage and overlap come from one pass over the cover's vertices
+    laid end to end; the two branches only judge paths.  A family graph
+    first checks the whole cover at once; when it finds every path a
+    shortest path, every verdict is true.  Otherwise, and on a stored graph,
+    each path is checked on its own."""
     n = g.n
-    all_shortest = g._all_shortest
-    flat = all_shortest and list(chain.from_iterable(c.paths))
-    if flat and 0 <= min(flat) and max(flat) < n and all_shortest(c.paths, flat):
+    flat = list(chain.from_iterable(c.paths))
+    in_range = not flat or (0 <= min(flat) and max(flat) < n)
+    kept = flat if in_range else [v for v in flat if 0 <= v < n]
+    covered = set(kept)
+    if flat and in_range and g._all_shortest is not None and g._all_shortest(c.paths, flat):
         # a walk of k steps between vertices at distance k is simple
         verdicts = (_VERDICTS[True, True, True],) * len(c.paths)
-        covered = set(flat)
-        incidences = len(flat)
         ok = True
     else:
         verdicts = []
-        covered = set()
-        incidences = 0
         for verts in c.paths:
-            in_range = 0 <= min(verts) and max(verts) < n
-            kept = verts if in_range else [v for v in verts if 0 <= v < n]
-            incidences += len(kept)
-            covered.update(kept)
             simple = len(set(verts)) == len(verts)
-            walk = in_range and all(map(g.has_edge, verts, verts[1:]))
+            inside = in_range or 0 <= min(verts) and max(verts) < n
+            walk = inside and all(map(g.has_edge, verts, verts[1:]))
             # a simple walk with k edges is a shortest path iff d(start, end) >= k
             k = len(verts) - 1
             isometric = simple and walk and (k <= 1 or g._distance_at_least(verts[0], verts[-1], k))
@@ -128,7 +125,7 @@ def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> Verify
         path_verdicts=tuple(verdicts),
         uncovered=uncovered,
         size=len(c.paths),
-        overlap=incidences - len(covered),
+        overlap=len(kept) - len(covered),
         normal_form=normal_form,
     )
 
