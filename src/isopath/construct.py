@@ -153,6 +153,7 @@ def _tile(spec):
     table = base_cover_table()
     family = _family(spec.factors)  # every box has the spec's factor count
     bases = {}  # key: the base cover's index paths, looked up once
+    chains = {}  # (rest, steps): a chain's boxes, its shifts, the rest's index
     frames = {}  # (sizes, steps) as popped: what _frame makes of the box
     paths = []
     # a box: its factors in its parent's frame, the index stride of the
@@ -162,7 +163,9 @@ def _tile(spec):
         sizes, steps, start = stack.pop()
         frame = frames.get((sizes, steps))
         if frame is None:
-            frame = frames[sizes, steps] = _frame(table, bases, family, sizes, steps)
+            frame = frames[sizes, steps] = _frame(
+                table, bases, chains, family, sizes, steps
+            )
         placed, subs, sub_steps, shifts = frame
         if placed is not None:
             paths.extend(map(tuple, map(map, repeat(start.__add__), placed)))
@@ -171,7 +174,7 @@ def _tile(spec):
     return paths
 
 
-def _frame(table, bases, family, sizes, steps):
+def _frame(table, bases, chains, family, sizes, steps):
     """What ``_tile`` does with a box of ``sizes`` under ``steps``, wherever
     its corner lies.  A base box gives (placed, None, None, None), where
     ``placed`` are the base cover's paths as index offsets from the corner.
@@ -186,7 +189,18 @@ def _frame(table, bases, family, sizes, steps):
     and a chain of slabs costs one frame.  The chain stops at a base key,
     which is placed whole ((2, 7) leaves (2, 4): 3 paths, where its cut
     would give 4), and at a rest out of sort order, as in 20 x 21 -> (20,
-    18), whose own frame takes its axes in another order."""
+    18), whose own frame takes its axes in another order.
+
+    ``chains`` maps each sorted box a chain has cut, (key, steps), to that
+    chain's boxes and shifts and the index where the box's own cuts begin,
+    so a later chain that reaches it, or a frame of it, takes that suffix
+    instead of cutting it again (the slabs (3, 20), (3, 17), ... of 20 x 21
+    all end in the chain of (3, 17)).  The suffix is what cutting again
+    would give: each cut reads only the sorted key, the stop test only the
+    rest and the table, and each shift is the rest's start plus its
+    corner under the same steps; the first sub-box of every cut sits at
+    the rest's corner, so moving the suffix by the new start less its
+    first shift re-bases it."""
     order = sorted(range(len(sizes)), key=sizes.__getitem__)
     key = tuple(sizes[i] for i in order)
     steps = tuple(steps[i] for i in order)
@@ -194,11 +208,20 @@ def _frame(table, bases, family, sizes, steps):
         if key not in bases:
             bases[key] = base_cover_lookup(family, key).paths
         # the offset of each base vertex, in the base graph's index order
-        offset = [sum(map(mul, c, steps)) for c in product(*map(range, key))]
+        offset = [0]
+        for k, s in zip(key, steps):
+            offset = [o + x for o in offset for x in range(0, k * s, s)]
         return [tuple(map(offset.__getitem__, p)) for p in bases[key]], None, None, None
     # every split leaves its last sub-box's other sides sorted
     boxes, shifts, rest, start = [], [], key, 0
     while True:
+        cut = chains.get((rest, steps))
+        if cut is not None:
+            done, moved, i = cut
+            boxes.extend(done[i:])
+            shifts.extend(map((start - moved[i]).__add__, moved[i:]))
+            break
+        chains[rest, steps] = boxes, shifts, len(boxes)
         subs = _split(rest)
         if not subs:
             raise UnknownCoverKeyError(f"{family} {rest}")

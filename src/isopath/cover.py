@@ -3,7 +3,7 @@
 A path is a tuple of vertex indices claimed to be an isometric path.
 """
 
-from itertools import chain, repeat
+from itertools import chain
 
 from ._record import Record
 from .errors import FormatError
@@ -131,8 +131,13 @@ def verify_cover(g: Graph, c: Cover, strict_normal_form: bool = False) -> Verify
 
 
 def format_cover(c: Cover) -> str:
-    """Cover text format: one path per line, space-separated vertex indices."""
-    return "\n".join(map(" ".join, map(map, repeat(str), c.paths))) + "\n"
+    """Cover text format: one path per line, space-separated vertex indices;
+    an empty cover is one empty line.  One ``%`` pass formats the cover's
+    vertices laid end to end into a template of one line per path."""
+    lengths = list(map(len, c.paths))
+    lines = {k: "%d " * (k - 1) + "%d\n" for k in set(lengths)}
+    text = "".join(map(lines.__getitem__, lengths)) % tuple(chain.from_iterable(c.paths))
+    return text or "\n"
 
 
 def parse_cover(text: str) -> Cover:

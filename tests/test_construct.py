@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isopath import (
     ConstructionError,
@@ -362,9 +363,10 @@ class TestCoverHamming:
         splits = []
         frame, split = construct._frame, construct._split
 
-        def counted_frame(table, bases, family, sizes, steps):
+        def counted_frame(*args):
+            *_, sizes, steps = args
             frames.append(sizes)
-            return frame(table, bases, family, sizes, steps)
+            return frame(*args)
 
         def counted_split(key):
             splits.append(key)
@@ -375,6 +377,66 @@ class TestCoverHamming:
         assert len(cover_hamming(HammingSpec((2, 100))).paths) == 67
         assert frames == [(2, 100), (2, 3), (2, 4)]
         assert splits == [(2, c) for c in range(100, 6, -3)]
+
+    @pytest.mark.parametrize(
+        "factors, cuts", [((14, 15), 14), ((16, 18), 18), ((20, 21), 22)]
+    )
+    def test_each_rest_is_cut_once(self, monkeypatch, factors, cuts):
+        # the slabs (3, 20), (3, 17), ... of 20 x 21 run into the chain of
+        # (3, 17) under the same steps and take its cuts; cutting every
+        # rest of every chain again took 23, 34 and 47
+        splits = Counter()
+        split = construct._split
+
+        def counted_split(key):
+            splits[key] += 1
+            return split(key)
+
+        monkeypatch.setattr(construct, "_split", counted_split)
+        spec = HammingSpec(factors)
+        assert len(cover_hamming(spec).paths) == ip_hamming(spec).value
+        assert sum(splits.values()) == cuts
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(2, 40), st.integers(2, 40)),
+            st.tuples(st.integers(2, 12), st.integers(2, 12), st.integers(2, 12)),
+        )
+    )
+    def test_the_tiling_matches_a_fresh_cut_of_every_box(self, factors):
+        spec = HammingSpec(factors)
+        assert cover_hamming(spec).paths == _reference_tile(spec)
+
+
+def _reference_tile(spec):
+    """The paths of ``cover_hamming(spec)`` with every box cut afresh, by
+    recursion and with no frame or chain reuse: a box is its sides in its
+    parent's sorted frame, the index stride of each and its corner's
+    index; sorted stably, it is a base key, placed from the base cover's
+    coordinates, or cut by ``_split``, its sub-boxes placed in order."""
+    table = base_cover_table()
+    family = f"hamming{spec.r}"
+    paths = []
+
+    def place(sizes, steps, start):
+        order = sorted(range(len(sizes)), key=sizes.__getitem__)
+        key = tuple(sizes[i] for i in order)
+        steps = tuple(steps[i] for i in order)
+        if (family, key) in table:
+            coordinates = list(product(*map(range, key)))
+            for path in table[family, key].paths:
+                paths.append(tuple(
+                    start + sum(x * s for x, s in zip(coordinates[v], steps)) for v in path
+                ))
+            return
+        subs = construct._split(key)
+        assert subs, key
+        for sub, corner in subs:
+            place(sub, steps, start + sum(x * s for x, s in zip(corner, steps)))
+
+    place(spec.factors, spec.strides, 0)
+    return tuple(paths)
 
 
 def _cells_held(key, subs):

@@ -488,6 +488,28 @@ class TestCoverTextFormat:
         assert text == format_cover(parse_cover(text))
         assert text.endswith("\n")
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(st.integers(0, 99), st.integers(10**6, 10**12)),
+                min_size=1,
+                max_size=7,
+            ),
+            max_size=12,
+        ),
+        st.integers(0, 12),
+    )
+    def test_text_is_one_joined_line_per_path(self, paths, at):
+        # paths of mixed lengths, vertices past 10^6, and the same cover
+        # with a path of 400 vertices put in at ``at``
+        for cover in (paths, [*paths[:at], range(10**6, 10**6 + 400), *paths[at:]]):
+            want = "".join(" ".join(map(str, p)) + "\n" for p in cover) or "\n"
+            assert format_cover(Cover(cover)) == want
+
+    def test_an_empty_cover_is_one_empty_line(self):
+        assert format_cover(Cover([])) == "\n"
+
     def test_comments_become_the_note(self):
         c = parse_cover("# context\n0 1\n")
         assert c.note == "context"
