@@ -163,9 +163,7 @@ def _tile(spec):
         sizes, steps, start = stack.pop()
         frame = frames.get((sizes, steps))
         if frame is None:
-            frame = frames[sizes, steps] = _frame(
-                table, bases, chains, family, sizes, steps
-            )
+            frame = frames[sizes, steps] = _frame(table, bases, chains, family, sizes, steps)
         placed, subs, sub_steps, shifts = frame
         if placed is not None:
             paths.extend(map(tuple, map(map, repeat(start.__add__), placed)))
@@ -194,13 +192,14 @@ def _frame(table, bases, chains, family, sizes, steps):
     ``chains`` maps each sorted box a chain has cut, (key, steps), to that
     chain's boxes and shifts and the index where the box's own cuts begin,
     so a later chain that reaches it, or a frame of it, takes that suffix
-    instead of cutting it again (the slabs (3, 20), (3, 17), ... of 20 x 21
-    all end in the chain of (3, 17)).  The suffix is what cutting again
-    would give: each cut reads only the sorted key, the stop test only the
-    rest and the table, and each shift is the rest's start plus its
-    corner under the same steps; the first sub-box of every cut sits at
-    the rest's corner, so moving the suffix by the new start less its
-    first shift re-bases it."""
+    instead of cutting it again: the slabs (3, 17), (3, 15), (3, 14), ...
+    of 20 x 21 are rests of the chains of its first two, (3, 20) and (3,
+    18), so it takes 22 cuts where cutting each again took 47.  The suffix
+    is what cutting again would give: each cut reads only the sorted key,
+    the stop test only the rest and the table, and each shift is the
+    rest's start plus a corner under the same steps; the first sub-box of
+    every cut sits at the rest's corner, so moving the suffix by the new
+    start less its first shift re-bases it."""
     order = sorted(range(len(sizes)), key=sizes.__getitem__)
     key = tuple(sizes[i] for i in order)
     steps = tuple(steps[i] for i in order)

@@ -382,20 +382,20 @@ class TestCoverHamming:
         "factors, cuts", [((14, 15), 14), ((16, 18), 18), ((20, 21), 22)]
     )
     def test_each_rest_is_cut_once(self, monkeypatch, factors, cuts):
-        # the slabs (3, 20), (3, 17), ... of 20 x 21 run into the chain of
-        # (3, 17) under the same steps and take its cuts; cutting every
-        # rest of every chain again took 23, 34 and 47
-        splits = Counter()
+        # the slabs (3, 17), (3, 15), (3, 14), ... of 20 x 21 are rests of
+        # the chains of its first two slabs, under the same steps, and take
+        # their cuts; cutting every rest again took 23, 34 and 47
+        splits = []
         split = construct._split
 
         def counted_split(key):
-            splits[key] += 1
+            splits.append(key)
             return split(key)
 
         monkeypatch.setattr(construct, "_split", counted_split)
         spec = HammingSpec(factors)
         assert len(cover_hamming(spec).paths) == ip_hamming(spec).value
-        assert sum(splits.values()) == cuts
+        assert len(splits) == cuts
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -510,6 +510,17 @@ def test_every_split_shrinks_and_tiles_its_box(r):
         held, cells = _cells_held(key, subs)
         assert set(held.values()) == {1} and len(held) == cells, key
         assert total == n, key
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_every_cut_starts_at_its_box_corner(r):
+    """``_frame`` re-bases a reused chain suffix by its first shift, which
+    is the cut box's own start only if the first sub-box of every cut sits
+    at the box's corner."""
+    table = base_cover_table()
+    for key in combinations_with_replacement(range(2, 25), r):
+        if (f"hamming{r}", key) not in table:
+            assert construct._split(key)[0][1] == (0,) * r, key
 
 
 # The keys the proof in ``_split``'s docstring checks one by one: every
