@@ -602,6 +602,32 @@ class TestFamilyGraphs:
                 want.has_edge(u, v) for v in range(-1, g.n + 1)
             ]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(2, 5), min_size=1, max_size=3).map(HammingSpec),
+            st.lists(st.integers(1, 5), min_size=2, max_size=5).map(PartiteSpec),
+        ).flatmap(
+            lambda spec: st.tuples(
+                st.just(spec),
+                st.lists(
+                    st.tuples(*[st.integers(-3 * spec.n, 3 * spec.n - 1)] * 2),
+                    min_size=20,
+                    max_size=20,
+                ),
+            )
+        )
+    )
+    def test_has_edge_far_out_of_range(self, drawn):
+        # indices well past both ends, where a rule that reasons about
+        # ranges of its own could call two vertices adjacent
+        spec, pairs = drawn
+        g = family_graph(spec)
+        stored = Graph(g.n, g.edges())
+        for u, v in pairs:
+            want = 0 <= u < g.n and v in g.neighbors(u)
+            assert g.has_edge(u, v) == stored.has_edge(u, v) == want, (u, v)
+
     @pytest.mark.parametrize(
         "build,edges",
         [
