@@ -183,9 +183,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class _HammingGraph(Graph):
-    """K_{n1} x ... x K_{nr}: two vertices are adjacent iff their mixed-radix
-    coordinates differ in exactly one place.  No edge is stored."""
+class _FamilyGraph(Graph):
+    """A family graph, which stores no edge: its adjacency is its one distance
+    rule, ``_distance_at_least``, at 2 on two distinct vertices of the graph."""
+
+    __slots__ = ()
+
+    def has_edge(self, u, v):
+        return u != v and 0 <= u < self.n and 0 <= v < self.n and not self._distance_at_least(u, v, 2)
+
+
+class _HammingGraph(_FamilyGraph):
+    """K_{n1} x ... x K_{nr}: the distance of two vertices is the number of
+    places in which their mixed-radix coordinates differ."""
 
     __slots__ = ("_axes",)
 
@@ -211,19 +221,11 @@ class _HammingGraph(Graph):
             lower.extend(block)
         return tuple(lower)
 
-    def has_edge(self, u, v):
-        if u == v or not 0 <= u < self.n:
-            return False
-        # they differ in one place iff they agree below and above some axis;
-        # with u in range, that puts v in range too
-        for stride, span in self._axes:
-            if u % stride == v % stride and u // span == v // span:
-                return True
-        return False
-
     def _distance_at_least(self, u, v, k):
-        # the distance is the number of coordinates in which u and v differ
-        return sum(u % span // stride != v % span // stride for stride, span in self._axes) >= k
+        for stride, span in self._axes:
+            if u % span // stride != v % span // stride:
+                k -= 1
+        return k <= 0
 
     def _all_shortest(self, paths, flat):
         # Every step moves, and the steps change as many coordinates as there
@@ -244,9 +246,9 @@ class _HammingGraph(Graph):
         return not changes and all(map(eq, ends, map(len, paths)))
 
 
-class _MultipartiteGraph(Graph):
-    """Complete multipartite graph: two vertices are adjacent iff they lie in
-    different part blocks.  No edge is stored."""
+class _MultipartiteGraph(_FamilyGraph):
+    """Complete multipartite graph: the distance of two vertices is 1 across
+    part blocks and 2 within one."""
 
     __slots__ = ("_offsets",)
 
@@ -261,13 +263,7 @@ class _MultipartiteGraph(Graph):
         i = bisect_right(self._offsets, v)
         return (*range(self._offsets[i - 1]), *range(self._offsets[i], self.n))
 
-    def has_edge(self, u, v):
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        return bisect_right(self._offsets, u) != bisect_right(self._offsets, v)
-
     def _distance_at_least(self, u, v, k):
-        # the distance is 1 across part blocks and 2 within one
         return k <= 1 + (bisect_right(self._offsets, u) == bisect_right(self._offsets, v))
 
     def _all_shortest(self, paths, flat):
@@ -479,16 +475,15 @@ def make_hamming(spec: HammingSpec) -> Graph:
 
 
 def encode_coordinates(spec: HammingSpec, coords) -> int:
-    """Mixed-radix vertex index of a coordinate tuple (first axis most significant)."""
+    """Mixed-radix vertex index of a coordinate tuple, the first axis most
+    significant: each coordinate times its axis's entry of ``spec.strides``."""
     coords = _integers(coords, OutOfRangeError, "coordinates")
     if len(coords) != spec.r:
         raise OutOfRangeError(f"expected {spec.r} coordinates, got {len(coords)}")
-    index = 0
     for c, size in zip(coords, spec.factors):
         if not 0 <= c < size:
             raise OutOfRangeError(f"coordinate {c} out of range [0,{size})")
-        index = index * size + c
-    return index
+    return sum(map(mul, coords, spec.strides))
 
 
 def format_graph(g: Graph) -> str:
