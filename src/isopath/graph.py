@@ -184,8 +184,8 @@ class Graph:
 
 
 class _FamilyGraph(Graph):
-    """A family graph, which stores no edge: its adjacency is its one distance
-    rule, ``_distance_at_least``, at 2 on two distinct vertices of the graph."""
+    """A family graph, with no edge stored: two distinct vertices of it are
+    adjacent iff its distance rule ``_distance_at_least`` puts them below 2."""
 
     __slots__ = ()
 
